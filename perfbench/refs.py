@@ -340,6 +340,108 @@ def check_matching_fit(record: dict, counts: dict[int, int]) -> str | None:
     return None
 
 
+# the matching scan: q on a logistic grid over tgd's box [1e-6, 1 - 1e-6],
+# and recovered alpha this close to +-1 counts as admissible (as in tgd)
+SCAN_POINTS = 4000
+SCAN_LOGIT = math.log((1.0 - 1e-6) / 1e-6)
+ALPHA_SLACK = 1e-9
+SAME_LAW_TOL = 1e-9
+
+
+def _mixture_cdf(q: float, a: float, t: int) -> float:
+    """P(Y <= t) = F*(1 + a*(1 - F)) with the geometric cdf F, for any a."""
+    big_f = -math.expm1((t + 1) * math.log(q))
+    return big_f * (1.0 + a * (1.0 - big_f))
+
+
+def _matching_equation(method: str, counts: dict[int, int]):
+    """(alpha(q), residual(q)): the first statistic solved for alpha, and
+    the miss of the second one at (q, alpha(q))."""
+    n = sum(counts.values())
+    if method == "proportions":
+        p0, p1 = counts.get(0, 0) / n, counts.get(1, 0) / n
+
+        def alpha(q):  # P(Y = 0) = (1 - q)*(1 + alpha*q)
+            return (p0 / (1.0 - q) - 1.0) / q
+
+        def residual(q):  # P(Y = 1) = (1 - q)*q*((1 - alpha) + alpha*q*(1 + q))
+            a = alpha(q)
+            return (1.0 - q) * q * ((1.0 - a) + a * q * (1.0 + q)) - p1
+
+        return alpha, residual
+    t1, p1, t2, p2 = empirical_anchors(counts)
+
+    def alpha(q):
+        f1 = -math.expm1((t1 + 1) * math.log(q))
+        return (p1 / f1 - 1.0) / (1.0 - f1)
+
+    def residual(q):
+        return _mixture_cdf(q, alpha(q), t2) - p2
+
+    return alpha, residual
+
+
+def matching_solutions(method: str, counts: dict[int, int]) -> list[tuple[float, float]]:
+    """Every distinct TGD(q, alpha) that reproduces the statistics of a
+    matching fit: sign changes of the residual on a grid, each bisected to
+    the last bit, keeping the roots whose alpha is admissible.  Two roots
+    that name one law (TGD(q, 1) is TGD(q**2, 0)) count once."""
+    alpha, residual = _matching_equation(method, counts)
+
+    def value(q):
+        try:
+            return residual(q)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            return math.nan
+
+    qs = [1.0 / (1.0 + math.exp(-SCAN_LOGIT * (2.0 * i / SCAN_POINTS - 1.0))) for i in range(SCAN_POINTS + 1)]
+    vs = [value(q) for q in qs]
+    found: list[tuple[float, float]] = []
+    for lo, hi, v_lo, v_hi in zip(qs, qs[1:], vs, vs[1:]):
+        if math.isnan(v_lo) or math.isnan(v_hi) or (v_lo != 0.0 and (v_lo > 0.0) == (v_hi > 0.0)):
+            continue
+        while v_lo != 0.0:
+            mid = 0.5 * (lo + hi)
+            v_mid = value(mid) if lo < mid < hi else math.nan
+            if math.isnan(v_mid):
+                break
+            if v_mid != 0.0 and (v_mid > 0.0) == (v_lo > 0.0):
+                lo, v_lo = mid, v_mid
+            else:
+                hi, v_hi = mid, v_mid
+        q = lo if abs(v_lo) <= abs(v_hi) else hi
+        a = alpha(q)
+        if abs(a) <= 1.0 + ALPHA_SLACK:
+            found.append((q, max(-1.0, min(1.0, a))))
+    distinct: list[tuple[float, float]] = []
+    for q, a in found:
+        if not any(all(abs(_mixture_cdf(q, a, t) - _mixture_cdf(q2, a2, t)) <= SAME_LAW_TOL
+                       for t in (0, 1, 2, 5, 13))
+                   for q2, a2 in distinct):
+            distinct.append((q, a))
+    return distinct
+
+
+def check_matching_refusal(method: str, message: str, counts: dict[int, int]) -> str | None:
+    """A refused matching fit is right only when the sample warrants it:
+    statistics out of range (a zero share, p0 + p1 >= 1, or coinciding
+    quantile anchors), no admissible pair reproducing them (inconsistent),
+    or more than one (ambiguous), as :func:`matching_solutions` finds."""
+    n = sum(counts.values())
+    if method == "proportions":
+        p0, p1 = counts.get(0, 0) / n, counts.get(1, 0) / n
+        if p0 == 0.0 or p1 == 0.0 or p0 + p1 >= 1.0:
+            return None
+    elif empirical_anchors(counts) is None:
+        return None
+    found = matching_solutions(method, counts)
+    if "inconsistent" in message:
+        return None if not found else f"{method}: refused as inconsistent, but {found[0]!r} reproduces them"
+    if "ambiguous" in message:
+        return None if len(found) > 1 else f"{method}: refused as ambiguous, but the scan finds {found!r}"
+    return f"{method}: refused a fit the sample admits: {message}"
+
+
 def inverse_draw_ok(q: float, a: float, u: float, value: int) -> bool:
     """``value`` is the smallest y with cdf(y) >= u (0 for u = 0)."""
     if u == 0.0:

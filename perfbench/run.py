@@ -13,13 +13,15 @@ with ``--trace 1`` it runs half the time untraced and half with spans
 around every call into a tgd layer, and reports the per-layer metrics.
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before it
-are a readable report, including every failed op with its cause.
+are a readable report, including the failed ops by kind and cause.
 
 An op fails on a failed check (a wrong output), on a timeout, or on an
 exception other than tgd's documented ``ParameterError`` /
 ``EstimationError`` (CLI exit code 2 with ``error: domain`` /
-``error: estimation``); ``failed`` counts them all and the report lists
-each with its cause.  ``correct`` is false when an output is malformed, so
+``error: estimation``).  A documented refusal is checked like any output:
+it counts as done only where the request warrants it.  ``failed`` counts
+the failures, and the report lists them by cause and the refusals by kind
+of op.  ``correct`` is false when an output is malformed, so
 that its check cannot even be evaluated (for example CLI output that is not
 the documented JSON record).
 """
@@ -31,6 +33,7 @@ import json
 import math
 import os
 import platform
+import random
 import resource
 import shutil
 import signal
@@ -50,6 +53,8 @@ OUT = os.path.join(HERE, "out")
 SETUP_REPEATS = 5
 SETUP_CODE = "import time; t = time.perf_counter(); import tgd, tgd.cli; print(time.perf_counter() - t)"
 TICK_S = 0.005
+# latency samples kept per phase: 8 MiB, allocated before the loop starts
+LATENCY_CAPACITY = 2**20
 
 END_TO_END = (
     ("ops_per_s", "1/s"),
@@ -72,14 +77,13 @@ class Watchdog:
     call per op; the exception is raised inside the op's own Python frames.
     """
 
-    def __init__(self, tick_s: float = TICK_S):
-        self.tick_s = tick_s
+    def __init__(self):
         self.deadline = 0.0
         self.armed = False
 
     def __enter__(self):
         self._previous = signal.signal(signal.SIGALRM, self._tick)
-        signal.setitimer(signal.ITIMER_REAL, self.tick_s, self.tick_s)
+        signal.setitimer(signal.ITIMER_REAL, TICK_S, TICK_S)
         return self
 
     def __exit__(self, *exc):
@@ -99,30 +103,62 @@ class Watchdog:
             raise OpTimeout()
 
 
+class Reservoir:
+    """A uniform sample of at most ``LATENCY_CAPACITY`` op latencies, in
+    memory allocated up front (Vitter's algorithm R once it is full), so
+    that the process's memory does not grow with its speed."""
+
+    def __init__(self):
+        self.values = array("q", [0]) * LATENCY_CAPACITY
+        self.seen = 0
+        self._rng = random.Random(0)
+
+    def add(self, ns: int) -> None:
+        if self.seen < LATENCY_CAPACITY:
+            self.values[self.seen] = ns
+        else:
+            j = self._rng.randrange(self.seen + 1)
+            if j < LATENCY_CAPACITY:
+                self.values[j] = ns
+        self.seen += 1
+
+    def sorted(self):
+        import numpy as np
+
+        return np.sort(np.frombuffer(self.values, dtype=np.int64, count=min(self.seen, LATENCY_CAPACITY)))
+
+
 @dataclass
 class Phase:
-    # 8 bytes a sample, so the process's memory does not grow with its speed
-    latencies_ns: array = field(default_factory=lambda: array("q"))
+    latencies_ns: Reservoir = field(default_factory=Reservoir)
     timed_ns: int = 0
     attempted: int = 0
-    failures: list[tuple[str, str, str]] = field(default_factory=list)  # kind, cause, class
+    # (kind, class) -> count, with the first cause of each as its example:
+    # the bookkeeping stays the same size however many ops fail
+    failures: Counter = field(default_factory=Counter)
+    examples: dict[tuple[str, str], str] = field(default_factory=dict)
+    refusals: Counter = field(default_factory=Counter)  # kind -> documented refusals
     io: Counter = field(default_factory=Counter)
 
     @property
     def failed(self) -> int:
-        return len(self.failures)
+        return sum(self.failures.values())
+
+    def fail(self, kind: str, cls: str, cause: str) -> None:
+        self.failures[kind, cls] += 1
+        self.examples.setdefault((kind, cls), cause)
 
     @property
     def ops_per_s(self) -> float:
         return (self.attempted - self.failed) / (self.timed_ns / 1e9)
 
 
-def execute(op, watchdog: Watchdog, documented: tuple, marker, run):
+def execute(op, watchdog: Watchdog, documented: tuple, refusal, run):
     """Run one op under its budget; returns (latency ns, output, error).
-    A documented refusal by tgd returns ``marker`` as the output."""
+    A documented refusal by tgd returns ``refusal(message)`` as the output."""
     out, err, end = None, None, None
+    watchdog.arm(op.budget_s)  # before the clock starts: the deadline is only a budget
     start = time.perf_counter_ns()
-    watchdog.arm(op.budget_s)
     try:
         try:
             out = run()
@@ -131,8 +167,8 @@ def execute(op, watchdog: Watchdog, documented: tuple, marker, run):
             end = time.perf_counter_ns()
     except OpTimeout:
         err = f"timeout: over the {op.budget_s:g} s budget"
-    except documented:
-        out = marker
+    except documented as exc:
+        out = refusal(f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # an undocumented failure of the program: count it
         err = f"{type(exc).__name__}: {exc}"
     if end is None:
@@ -144,7 +180,7 @@ def run_phase(workload, seconds: float, watchdog: Watchdog, tracer=None, op_base
     """Run whole rounds of the workload until ``seconds`` of op time are
     spent; whole rounds keep each workload's mix of ops exact."""
     import tgd
-    from workloads import DOCUMENTED
+    from workloads import Refusal
 
     documented = (tgd.ParameterError, tgd.EstimationError)
     phase = Phase()
@@ -160,20 +196,23 @@ def run_phase(workload, seconds: float, watchdog: Watchdog, tracer=None, op_base
             else:
                 tracer.begin_op(op_base + phase.attempted + len(results))
                 run = tracer.wrap("bench.op", op.run)
-            ns, out, err = execute(op, watchdog, documented, DOCUMENTED, run)
+            ns, out, err = execute(op, watchdog, documented, Refusal, run)
             results.append((out, err))
             round_ns += ns
-            phase.latencies_ns.append(ns)
+            phase.latencies_ns.add(ns)
         for op, (out, err) in zip(ops, results):
-            if err is None and out is not DOCUMENTED:
+            if err is None:
+                refused = isinstance(out, Refusal)
+                if refused:
+                    phase.refusals[op.kind] += 1
                 try:
-                    reason, cls = op.check(out), "wrong output"
+                    reason, cls = op.check(out), "wrong refusal" if refused else "wrong output"
                 except Exception as exc:  # the output is malformed: the check cannot read it
                     reason, cls = f"{type(exc).__name__}: {exc}", "malformed output"
                 if reason:
-                    phase.failures.append((op.kind, f"{reason} [{op.desc}]", cls))
-            elif err is not None:
-                phase.failures.append((op.kind, f"{err} [{op.desc}]", err.split(":", 1)[0]))
+                    phase.fail(op.kind, cls, f"{reason} [{op.desc}]")
+            else:
+                phase.fail(op.kind, err.split(":", 1)[0], f"{err} [{op.desc}]")
             if tracer is not None and op.io is not None:
                 phase.io.update(op.io())
         phase.attempted += len(ops)
@@ -185,7 +224,7 @@ def nearest_rank(sorted_values, p: float):
     """The smallest sample with at least a share p of the samples at or
     below it.  Unlike interpolation it always reads one sample, so with a
     few kinds of op in fixed proportions it reads the same kind every run."""
-    return sorted_values[max(0, math.ceil(p * len(sorted_values)) - 1)]
+    return int(sorted_values[max(0, math.ceil(p * len(sorted_values)) - 1)])
 
 
 def measure_setup() -> float:
@@ -205,35 +244,23 @@ def measure_setup() -> float:
 
 
 def git_sha() -> str:
-    """The checked-out commit, read from .git without running git."""
-    head = os.path.join(ROOT, ".git", "HEAD")
+    """The checked-out commit, or 'unknown' outside a git repository."""
     try:
-        with open(head, encoding="utf-8") as fh:
-            ref = fh.read().strip()
-        if not ref.startswith("ref: "):
-            return ref
-        name = ref[5:]
-        path = os.path.join(ROOT, ".git", name)
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                return fh.read().strip()
-        with open(os.path.join(ROOT, ".git", "packed-refs"), encoding="utf-8") as fh:
-            for line in fh:
-                if line.rstrip().endswith(" " + name):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
+                              timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
 def metadata(args, phases) -> dict:
-    import numpy
+    import numpy as np
     import scipy
 
     return {
         "git_sha": git_sha(),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "scipy": scipy.__version__,
         "nproc": os.cpu_count(),
         "seed": args.seed,
@@ -243,17 +270,20 @@ def metadata(args, phases) -> dict:
     }
 
 
-def report_failures(phases) -> list[str]:
-    groups = Counter()
-    example = {}
+def report_outcomes(phases) -> list[str]:
+    """Failures by kind of op and class, with one example each, then the
+    documented refusals (all checked) by kind of op."""
+    groups, example, refusals = Counter(), {}, Counter()
     for p in phases:
-        for kind, cause, cls in p.failures:
-            key = (kind, cls)
-            groups[key] += 1
+        groups.update(p.failures)
+        refusals.update(p.refusals)
+        for key, cause in p.examples.items():
             example.setdefault(key, cause)
     lines = [f"failures: {sum(groups.values())}"]
-    for (kind, cause), n in sorted(groups.items(), key=lambda kv: -kv[1]):
-        lines.append(f"  {n:6d}  {kind:24s} {cause:16s} e.g. {example[(kind, cause)][:160]}")
+    for (kind, cls), n in sorted(groups.items(), key=lambda kv: -kv[1]):
+        lines.append(f"  {n:6d}  {kind:24s} {cls:16s} e.g. {example[(kind, cls)][:160]}")
+    lines.append(f"documented refusals: {sum(refusals.values())}")
+    lines += [f"  {n:6d}  {kind}" for kind, n in sorted(refusals.items(), key=lambda kv: -kv[1])]
     return lines
 
 
@@ -284,7 +314,7 @@ def run_workload(args) -> dict:
 
     attempted = sum(p.attempted for p in phases)
     failed = sum(p.failed for p in phases)
-    correct = not any(cls == "malformed output" for p in phases for _, _, cls in p.failures)
+    correct = not any(cls == "malformed output" for p in phases for _, cls in p.failures)
     lines = [f"workload {args.workload}: {workload.why}",
              "meta " + json.dumps(metadata(args, phases))]
     if args.trace:
@@ -295,7 +325,7 @@ def run_workload(args) -> dict:
         lines.append(f"spans written to {os.path.relpath(spans_path, ROOT)}")
     else:
         phase = phases[0]
-        lat = sorted(phase.latencies_ns)
+        lat = phase.latencies_ns.sorted()
         values = {
             "ops_per_s": phase.ops_per_s,
             "op_p50_ms": nearest_rank(lat, 0.50) / 1e6,
@@ -305,12 +335,12 @@ def run_workload(args) -> dict:
             "peak_rss_mb": peak_rss_mb,
         }
         units = dict(END_TO_END)
-        beyond = sum(v > values["op_p90_ms"] * 1e6 for v in lat)
-        lines.append(f"latency samples {len(lat)}, {beyond} of them beyond p90; "
+        beyond = int((lat > values["op_p90_ms"] * 1e6).sum())
+        lines.append(f"latency samples {len(lat)} of {phase.attempted} ops, {beyond} of them beyond p90; "
                      f"failed_ratio {phase.failed / phase.attempted!r} ratio")
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in units.items()}
     lines += [f"  {name:36s} {m['value']!r:>24} {m['unit']}" for name, m in metrics.items()]
-    lines += report_failures(phases)
+    lines += report_outcomes(phases)
     print("\n".join(lines))
     return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
 

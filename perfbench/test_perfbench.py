@@ -78,15 +78,80 @@ def test_draw_check_rejects_a_perturbed_draw(tmp_path, sampler, q, alpha):
         assert workloads.Simulate.check_draws(q, alpha, seed, sampler, bad, positions) is not None
 
 
-def test_simulate_op_passes_and_counts_documented_refusals(tmp_path):
+def test_simulate_op_passes_and_checks_documented_refusals(tmp_path):
     sim = workloads.Simulate(3, str(tmp_path))
     sim.bind()
     ops = next(sim.rounds())
-    for op in ops[:8]:
-        out = op.run()
-        assert out is not workloads.DOCUMENTED  # a refused fit still returns the draws' check
+    outs = [op.run() for op in ops[:8]]
+    assert any(isinstance(out, workloads.Refusal) for out in outs)  # ambiguous or inconsistent
+    for op, out in zip(ops, outs):
         assert op.check(out) is None
     assert len(ops) == len(workloads.SIM_N) * len(workloads.SIM_COMBOS)
+
+
+def test_matching_refusal_check_accepts_only_warranted_refusals(fit_file):
+    _, unique, _ = fit_file
+    ambiguous = {0: 500, 1: 238, 2: 262}
+    inconsistent = {0: 500, 1: 150, 2: 350}
+    for counts, holds in ((ambiguous, "ambiguous"), (inconsistent, "inconsistent")):
+        with pytest.raises(tgd.EstimationError, match=holds):
+            tgd.estimate.fit(tgd.estimate.dataset_from_counts(counts), "proportions")
+    assert len(refs.matching_solutions("proportions", ambiguous)) == 2
+    assert refs.check_matching_refusal("proportions", "ambiguous proportions", ambiguous) is None
+    assert refs.check_matching_refusal("proportions", "inconsistent proportions", ambiguous) is not None
+    assert refs.check_matching_refusal("proportions", "inconsistent proportions", inconsistent) is None
+    assert refs.check_matching_refusal("proportions", "ambiguous proportions", inconsistent) is not None
+    for method in ("proportions", "quantiles"):
+        assert len(refs.matching_solutions(method, unique)) == 1
+        for why in ("ambiguous", "inconsistent", "error: input"):
+            assert refs.check_matching_refusal(method, why, unique) is not None
+    # statistics out of range warrant any refusal
+    assert refs.check_matching_refusal("proportions", "error", {0: 5, 2: 5}) is None
+    assert refs.check_matching_refusal("quantiles", "error", {0: 9, 3: 1}) is None
+
+
+def test_an_always_refusing_program_fails(tmp_path, monkeypatch, fit_file):
+    path, counts, gen = fit_file
+    sim = workloads.Simulate(3, str(tmp_path))
+    sim_ops = next(sim.rounds())[:8]
+    fitted = [not isinstance(op.run(), workloads.Refusal) for op in sim_ops]
+    assert any(fitted)
+    main = tgd.cli.main
+
+    def refuse_fits(argv):
+        if argv[0] != "fit":
+            return main(argv)
+        print("error: estimation: inconsistent moments: no admissible (q, alpha) reproduces them",
+              file=sys.stderr)
+        return 2
+
+    monkeypatch.setattr(tgd.cli, "main", refuse_fits)
+    fit = workloads.Fit(0, str(tmp_path))
+    for method in ("mle", "moments"):
+        op = fit.fit_op(path, 1, method, counts, gen, method)
+        out = op.run()
+        assert isinstance(out, workloads.Refusal) and op.check(out) is not None
+    for op, was_fitted in zip(sim_ops, fitted):
+        out = op.run()
+        assert isinstance(out, workloads.Refusal)
+        if was_fitted:  # a sample one pair reproduces is neither inconsistent nor ambiguous
+            assert op.check(out) is not None
+
+    def refuse(*args):
+        raise tgd.ParameterError("outside the domain")
+
+    ev = workloads.Evaluate(0, "")
+    ev.bind()
+    ev.fn = dict.fromkeys(ev.fn, refuse)
+    with run.Watchdog() as watchdog:
+        for fn in ("pmf", "quantile", "summarize"):
+            op = ev.point_op(fn, 0.5, 0.5, 3, 0.5)
+            _, out, err = run.execute(op, watchdog, (tgd.ParameterError,), workloads.Refusal, op.run)
+            assert err is None and op.check(out) is not None
+        # the one request whose refusal is documented: a degenerate moment ratio
+        op = ev.point_op("summarize", 1e-300, -1.0, 0, None, "edge:summarize")
+        _, out, _ = run.execute(op, watchdog, (tgd.ParameterError,), workloads.Refusal, op.run)
+        assert op.check(out) is None
 
 
 # --------------------------------------------------------------------------
@@ -205,12 +270,22 @@ def test_timeouts_and_errors_are_counted_as_failures_not_dropped():
     with run.Watchdog() as watchdog:
         phase = run.run_phase(Scripted(ops), 1e-9, watchdog)
     assert time.perf_counter() - start < 5.0
-    assert phase.attempted == len(ops) == len(phase.latencies_ns)
-    causes = {kind: cls for kind, _, cls in phase.failures}
-    assert causes == {"slow": "timeout", "crash": "ZeroDivisionError",
-                      "wrong": "wrong output", "malformed": "malformed output"}
-    assert phase.latencies_ns[1] >= 0.05e9
+    assert phase.attempted == len(ops) == phase.latencies_ns.seen
+    assert dict(phase.failures) == {("slow", "timeout"): 1, ("crash", "ZeroDivisionError"): 1,
+                                    ("wrong", "wrong output"): 1, ("malformed", "malformed output"): 1}
+    assert phase.refusals["refused"] == 1
+    assert phase.latencies_ns.values[1] >= 0.05e9
     assert phase.ops_per_s == pytest.approx(2 / (phase.timed_ns / 1e9))
+
+
+def test_latency_reservoir_keeps_a_fixed_size_uniform_sample(monkeypatch):
+    monkeypatch.setattr(run, "LATENCY_CAPACITY", 1000)
+    reservoir = run.Reservoir()
+    for ns in range(10_000):
+        reservoir.add(ns)
+    kept = reservoir.sorted()
+    assert reservoir.seen == 10_000 and len(kept) == len(reservoir.values) == 1000
+    assert 4000 < run.nearest_rank(kept, 0.5) < 6000
 
 
 # --------------------------------------------------------------------------

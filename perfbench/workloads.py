@@ -6,9 +6,10 @@ validates its output afterwards, outside the timed region, against the
 references in :mod:`refs`.  Inputs are drawn with numpy from the seed, so
 the same seed gives the same inputs, and no tgd sampler makes them.
 
-Op outcomes that tgd documents (``ParameterError``, ``EstimationError``,
-or CLI exit code 2 with ``error: domain`` / ``error: estimation``) are
-completed ops, not failures.
+An outcome that tgd documents (``ParameterError``, ``EstimationError``,
+or CLI exit code 2 with ``error: domain`` / ``error: estimation``) reaches
+the check as a :class:`Refusal`.  It is a completed op only where the
+request warrants it; a valid request that is refused is a wrong output.
 """
 
 from __future__ import annotations
@@ -29,8 +30,17 @@ import refs
 import tgd
 import tgd.cli
 
-# an op that returns this ended in an outcome tgd documents; it is not checked
-DOCUMENTED = object()
+@dataclass(frozen=True)
+class Refusal:
+    """A documented refusal by tgd, in place of an op's output."""
+
+    message: str
+
+
+def refused_valid(out) -> str | None:
+    """The check of an op whose request lies inside tgd's domain: it may
+    not be refused."""
+    return f"refused a valid request: {out.message}" if isinstance(out, Refusal) else None
 
 
 class CliError(Exception):
@@ -97,7 +107,7 @@ def cli_call(argv: list[str]):
         return out.getvalue()
     message = err.getvalue().strip()
     if rc == 2 and message.startswith(("error: estimation", "error: domain")):
-        return DOCUMENTED
+        return Refusal(message)
     raise CliError(f"exit {rc}: {message}")
 
 
@@ -196,7 +206,7 @@ class Fit(Workload):
             return out
 
         def check(out):
-            return refs.check_optimizing_fit(json.loads(out), counts, gen)
+            return refused_valid(out) or refs.check_optimizing_fit(json.loads(out), counts, gen)
 
         return Op(kind, run, check, self.budget_s, f"generated by ({gen[0]}, {gen[1]})",
                   io=lambda: {"bytes_read": size, "bytes_written": sum(written)})
@@ -246,21 +256,27 @@ class Simulate(Workload):
         fit_out = []
 
         def run():
-            if cli_call(sample_argv) is DOCUMENTED:
-                return DOCUMENTED
+            sampled = cli_call(sample_argv)
+            if isinstance(sampled, Refusal):
+                return Refusal(f"sample: {sampled.message}")
             out = cli_call(fit_argv)
             fit_out.append(out)
-            return (out,)  # the draws are checked even when the fit is refused
+            return out
 
         def check(result):
+            if isinstance(result, Refusal) and result.message.startswith("sample: "):
+                return refused_valid(result)
+            # the draws are checked even when the fit is refused
             with open(path, encoding="utf-8") as fh:
                 values = [int(v) for v in fh.read().split()]
             if len(values) != n:
                 return f"sample wrote {len(values)} values, expected {n}"
             bad = self.check_draws(q, a, seed, sampler, values, positions)
-            if bad or result[0] is DOCUMENTED:
+            if bad:
                 return bad
-            return refs.check_matching_fit(json.loads(result[0]), Counter(values))
+            if isinstance(result, Refusal):
+                return refs.check_matching_refusal(fitter, result.message, Counter(values))
+            return refs.check_matching_fit(json.loads(result), Counter(values))
 
         def io_counts():
             size = os.path.getsize(path) if os.path.exists(path) else 0
@@ -404,11 +420,20 @@ class Evaluate(Workload):
 
             def check(v):
                 return check_value(q, a, y, v)
-        return Op(kind or fn_name, run, check, POINT_BUDGET_S, desc)
+
+        def checked(v):
+            if not isinstance(v, Refusal):
+                return check(v)
+            if kind == "edge:summarize" and v.message.startswith("ParameterError"):
+                return None  # a degenerate moment ratio may be refused as outside the domain
+            return refused_valid(v)
+
+        return Op(kind or fn_name, run, checked, POINT_BUDGET_S, desc)
 
     def audit_op(self, q, a) -> Op:
         params = tgd.Params(q, a)
-        return Op("audit", lambda: self.audit(params), refs.check_audit, AUDIT_BUDGET_S,
+        return Op("audit", lambda: self.audit(params),
+                  lambda v: refused_valid(v) or refs.check_audit(v), AUDIT_BUDGET_S,
                   f"q={q!r} alpha={a!r}")
 
 
