@@ -24,6 +24,11 @@ the failures, and the report lists them by cause and the refusals by kind
 of op.  ``correct`` is false when an output is malformed, so
 that its check cannot even be evaluated (for example CLI output that is not
 the documented JSON record).
+
+A workload may also have known-defect probes: fixed requests, the same at
+every seed, that run once before the timed loop.  Their outcomes repeat
+exactly from run to run; the report lists them apart, and they do not count
+in ``attempted`` or ``failed``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import subprocess
 import sys
 import time
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -139,6 +144,7 @@ class Phase:
     examples: dict[tuple[str, str], str] = field(default_factory=dict)
     refusals: Counter = field(default_factory=Counter)  # kind -> documented refusals
     io: Counter = field(default_factory=Counter)
+    repeats: defaultdict = field(default_factory=lambda: defaultdict(list))  # repeat key -> latencies
 
     @property
     def failed(self) -> int:
@@ -147,6 +153,15 @@ class Phase:
     def fail(self, kind: str, cls: str, cause: str) -> None:
         self.failures[kind, cls] += 1
         self.examples.setdefault((kind, cls), cause)
+
+    def latency_sample(self):
+        """Sorted latencies in ns: one per op, and one per repeated request,
+        the median of its repeats, which are spread over the whole run, so
+        that a burst of load on the host moves none of them."""
+        import numpy as np
+
+        medians = [statistics.median_low(v) for v in self.repeats.values()]
+        return np.sort(np.concatenate([self.latencies_ns.sorted(), np.array(medians, dtype=np.int64)]))
 
     @property
     def ops_per_s(self) -> float:
@@ -176,6 +191,22 @@ def execute(op, watchdog: Watchdog, documented: tuple, refusal, run):
     return end - start, out, err
 
 
+def settle(phase: Phase, op, out, err, refusal) -> None:
+    """Check one op's outcome and book it in ``phase``."""
+    if err is not None:
+        phase.fail(op.kind, err.split(":", 1)[0], f"{err} [{op.desc}]")
+        return
+    refused = isinstance(out, refusal)
+    if refused:
+        phase.refusals[op.kind] += 1
+    try:
+        reason, cls = op.check(out), "wrong refusal" if refused else "wrong output"
+    except Exception as exc:  # the output is malformed: the check cannot read it
+        reason, cls = f"{type(exc).__name__}: {exc}", "malformed output"
+    if reason:
+        phase.fail(op.kind, cls, f"{reason} [{op.desc}]")
+
+
 def run_phase(workload, seconds: float, watchdog: Watchdog, tracer=None, op_base: int = 0) -> Phase:
     """Run whole rounds of the workload until ``seconds`` of op time are
     spent; whole rounds keep each workload's mix of ops exact."""
@@ -199,24 +230,31 @@ def run_phase(workload, seconds: float, watchdog: Watchdog, tracer=None, op_base
             ns, out, err = execute(op, watchdog, documented, Refusal, run)
             results.append((out, err))
             round_ns += ns
-            phase.latencies_ns.add(ns)
-        for op, (out, err) in zip(ops, results):
-            if err is None:
-                refused = isinstance(out, Refusal)
-                if refused:
-                    phase.refusals[op.kind] += 1
-                try:
-                    reason, cls = op.check(out), "wrong refusal" if refused else "wrong output"
-                except Exception as exc:  # the output is malformed: the check cannot read it
-                    reason, cls = f"{type(exc).__name__}: {exc}", "malformed output"
-                if reason:
-                    phase.fail(op.kind, cls, f"{reason} [{op.desc}]")
+            if op.repeat_key is None:
+                phase.latencies_ns.add(ns)
             else:
-                phase.fail(op.kind, err.split(":", 1)[0], f"{err} [{op.desc}]")
+                phase.repeats[op.repeat_key].append(ns)
+        for op, (out, err) in zip(ops, results):
+            settle(phase, op, out, err, Refusal)
             if tracer is not None and op.io is not None:
                 phase.io.update(op.io())
         phase.attempted += len(ops)
         phase.timed_ns += round_ns
+    return phase
+
+
+def run_probes(workload, watchdog: Watchdog) -> Phase:
+    """The workload's fixed edge-of-domain requests, each once, untimed.
+    They are the same at every seed, so their outcomes repeat exactly."""
+    import tgd
+    from workloads import Refusal
+
+    phase = Phase()
+    workload.bind()
+    for op in workload.probes():
+        _, out, err = execute(op, watchdog, (tgd.ParameterError, tgd.EstimationError), Refusal, op.run)
+        settle(phase, op, out, err, Refusal)
+        phase.attempted += 1
     return phase
 
 
@@ -270,7 +308,7 @@ def metadata(args, phases) -> dict:
     }
 
 
-def report_outcomes(phases) -> list[str]:
+def report_outcomes(phases, title="failures") -> list[str]:
     """Failures by kind of op and class, with one example each, then the
     documented refusals (all checked) by kind of op."""
     groups, example, refusals = Counter(), {}, Counter()
@@ -279,7 +317,7 @@ def report_outcomes(phases) -> list[str]:
         refusals.update(p.refusals)
         for key, cause in p.examples.items():
             example.setdefault(key, cause)
-    lines = [f"failures: {sum(groups.values())}"]
+    lines = [f"{title}: {sum(groups.values())} of {sum(p.attempted for p in phases)}"]
     for (kind, cls), n in sorted(groups.items(), key=lambda kv: -kv[1]):
         lines.append(f"  {n:6d}  {kind:24s} {cls:16s} e.g. {example[(kind, cls)][:160]}")
     lines.append(f"documented refusals: {sum(refusals.values())}")
@@ -300,6 +338,7 @@ def run_workload(args) -> dict:
     workload = workloads.WORKLOADS[args.workload](args.seed, workdir)
     try:
         with Watchdog() as watchdog:
+            probes = run_probes(workload, watchdog)
             if args.trace:
                 plain = run_phase(workload, args.seconds / 2, watchdog)
                 tracer = tracing.Tracer()
@@ -320,12 +359,12 @@ def run_workload(args) -> dict:
     if args.trace:
         spans_path = os.path.join(OUT, f"spans-{args.workload}-seed{args.seed}.csv")
         tracer.write(spans_path)
-        values = tracer.per_layer(traced.io, traced.ops_per_s / plain.ops_per_s)
+        values = tracer.per_layer(traced.io, traced.ops_per_s / plain.ops_per_s, probes.failed)
         units = dict(tracing.PER_LAYER_METRICS)
         lines.append(f"spans written to {os.path.relpath(spans_path, ROOT)}")
     else:
         phase = phases[0]
-        lat = phase.latencies_ns.sorted()
+        lat = phase.latency_sample()
         values = {
             "ops_per_s": phase.ops_per_s,
             "op_p50_ms": nearest_rank(lat, 0.50) / 1e6,
@@ -336,11 +375,14 @@ def run_workload(args) -> dict:
         }
         units = dict(END_TO_END)
         beyond = int((lat > values["op_p90_ms"] * 1e6).sum())
-        lines.append(f"latency samples {len(lat)} of {phase.attempted} ops, {beyond} of them beyond p90; "
+        repeated = f" ({len(phase.repeats)} repeated requests, each the median of its repeats)" * bool(phase.repeats)
+        lines.append(f"latency samples {len(lat)}{repeated} of {phase.attempted} ops, {beyond} of them beyond p90; "
                      f"failed_ratio {phase.failed / phase.attempted!r} ratio")
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in units.items()}
     lines += [f"  {name:36s} {m['value']!r:>24} {m['unit']}" for name, m in metrics.items()]
     lines += report_outcomes(phases)
+    if probes.attempted:
+        lines += report_outcomes([probes], "known-defect probes failed (not counted above)")
     print("\n".join(lines))
     return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
 

@@ -223,7 +223,42 @@ def test_evaluate_blocks_hold_the_stated_mix_and_repeat_per_seed():
     kinds = Counter(op.kind for op in ops)
     assert len(ops) == workloads.BLOCK
     assert kinds["audit"] == workloads.AUDITS_PER_BLOCK < workloads.BLOCK / 10
-    assert sum(k.startswith("edge:") for k in kinds) == 1
+    assert set(kinds) == set(workloads.POINT_MIX) | {"audit"}
+
+
+def test_evaluate_loop_stays_clear_of_the_probed_defects():
+    zeros = 0
+    for b in range(3):
+        for op in evaluate_block(9, b):
+            if op.kind not in ("hazard", "reversed_hazard"):
+                continue
+            fields = dict(f.split("=") for f in op.desc.split())
+            q, a, y = float(fields["q"]), float(fields["alpha"]), int(fields["y"])
+            if op.kind == "reversed_hazard":
+                assert y > 0
+            elif a == 1.0:
+                zeros += y == 0
+                assert q ** (y + 1) >= workloads.HAZARD_Q_POW_MIN
+    assert zeros > 0  # y = 0 stays in the loop for the other requests
+    probes = []
+    for seed in (1, 2):
+        ev = workloads.Evaluate(seed, "")
+        ev.bind()
+        probes.append([op.desc for op in ev.probes()])
+    assert probes[0] == probes[1] and len(probes[0]) == len(workloads.DEFECT_PROBES)
+
+
+def test_fit_files_hold_the_same_values_at_every_seed(tmp_path):
+    ops = {}
+    for seed in (1, 2):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        fit = workloads.Fit(seed, str(workdir))
+        next(fit.rounds())
+        ops[seed] = sorted(p.read_text() for p in workdir.iterdir())
+    assert ops[1] != ops[2]
+    for one, two in zip(ops[1], ops[2]):
+        assert sorted(one.split()) == sorted(two.split())
 
 
 # --------------------------------------------------------------------------
@@ -278,6 +313,55 @@ def test_timeouts_and_errors_are_counted_as_failures_not_dropped():
     assert phase.ops_per_s == pytest.approx(2 / (phase.timed_ns / 1e9))
 
 
+def test_probes_run_once_outside_the_loop_and_count_their_failures():
+    class Probed(Scripted):
+        def probes(self):
+            return [op("edge:slow", spin, budget=0.05), op("edge:ok", lambda: 1),
+                    op("edge:wrong", lambda: 2, check=lambda out: "wrong value")]
+
+    workload = Probed([op("ok", lambda: 1)])
+    with run.Watchdog() as watchdog:
+        probes = run.run_probes(workload, watchdog)
+        phase = run.run_phase(workload, 1e-9, watchdog)
+    assert probes.attempted == 3
+    assert dict(probes.failures) == {("edge:slow", "timeout"): 1, ("edge:wrong", "wrong output"): 1}
+    assert phase.attempted == 1 and phase.failed == 0
+
+
+def test_repeated_requests_give_one_median_latency():
+    class Timed(Scripted):
+        """Round r makes requests "a" and "b"; "a" is slow in round 1 only."""
+
+        def rounds(self):
+            r = 0
+            while True:
+                delay = 0.2 if r == 1 else 0.01
+                yield [workloads.Op("a", lambda d=delay: time.sleep(d), lambda out: None, 1.0, "a",
+                                    repeat_key="a"),
+                       workloads.Op("b", lambda: time.sleep(0.01), lambda out: None, 1.0, "b",
+                                    repeat_key="b")]
+                r += 1
+
+    with run.Watchdog() as watchdog:
+        phase = run.run_phase(Timed([]), 0.5, watchdog)
+    assert phase.attempted > 6 and phase.latencies_ns.seen == 0
+    lat = phase.latency_sample()
+    assert len(lat) == 2 and lat[-1] < 0.1e9  # the slow repeat of "a" is not its median
+
+
+def test_simulate_rounds_repeat_their_cases_with_new_sampler_seeds(tmp_path):
+    sim = workloads.Simulate(3, str(tmp_path))
+    rounds = sim.rounds()
+    one, two = next(rounds), next(rounds)
+
+    def by_case(ops):
+        return {op.repeat_key: op.desc.rsplit(" seed=", 1) for op in ops}
+
+    one, two = by_case(one), by_case(two)
+    assert len(one) == len(workloads.SIM_N) * len(workloads.SIM_COMBOS) and one.keys() == two.keys()
+    assert all(one[k][0] == two[k][0] and one[k][1] != two[k][1] for k in one)
+
+
 def test_latency_reservoir_keeps_a_fixed_size_uniform_sample(monkeypatch):
     monkeypatch.setattr(run, "LATENCY_CAPACITY", 1000)
     reservoir = run.Reservoir()
@@ -305,9 +389,9 @@ def test_tracer_records_nested_spans_and_restores_the_functions(fit_file):
     assert names == ["bench.op", "cli.main", "estimate.ingest", "estimate.fit"]
     parents = [s[1] for s in tracer.spans]
     assert parents == [-1, 0, 1, 1]
-    m = tracer.per_layer({"bytes_read": 10}, 0.9)
+    m = tracer.per_layer({"bytes_read": 10}, 0.9, 3)
     assert set(m) == {name for name, _ in tracing.PER_LAYER_METRICS}
-    assert m["cli.calls"] == 1 and m["estimate.calls"] == 2
+    assert m["cli.calls"] == 1 and m["estimate.calls"] == 2 and m["probes.failed"] == 3
     total = sum(m[f"{layer}.self_s"] for layer in tracing.LAYERS)
     op_s = (tracer.spans[0][4] - tracer.spans[0][3]) / 1e9
     assert 0 < total <= op_s

@@ -40,7 +40,7 @@ PER_LAYER_METRICS = (
         for layer in LAYERS
         for stat, unit in (("calls", "count"), ("self_s", "s"), ("share", "ratio"), ("failed", "count"))
     ]
-    + [("trace.overhead_ratio", "ratio")]
+    + [("trace.overhead_ratio", "ratio"), ("probes.failed", "count")]
 )
 
 
@@ -149,11 +149,12 @@ class Tracer:
                 if s is not None:
                     fh.write(f"{sid},{s[0]},{s[1]},{s[2]},{s[3]},{s[4]},{s[5]}\n")
 
-    def per_layer(self, io: dict[str, int], overhead_ratio: float) -> dict[str, float]:
+    def per_layer(self, io: dict[str, int], overhead_ratio: float, probes_failed: int) -> dict[str, float]:
         """Every metric of :data:`PER_LAYER_METRICS` from the recorded spans.
 
         ``io`` carries the byte counts the benchmark measured around the
-        CLI calls.  A metric whose layer saw no calls in this workload is 0.
+        CLI calls, ``probes_failed`` the failed known-defect probes.  A
+        metric whose layer saw no calls in this workload is 0.
         """
         spans = [(sid, s) for sid, s in enumerate(self.spans) if s is not None]
         child_ns = defaultdict(int)
@@ -220,4 +221,5 @@ class Tracer:
             m[f"{layer}.share"] = self_ns[layer] / op_ns if op_ns else 0.0
             m[f"{layer}.failed"] = failed[layer]
         m["trace.overhead_ratio"] = overhead_ratio
+        m["probes.failed"] = probes_failed
         return m

@@ -55,6 +55,9 @@ class Op:
     budget_s: float
     desc: str = ""  # the request's inputs, quoted with its failures
     io: Callable[[], dict[str, int]] | None = None
+    # ops with the same key make the same request in every round; their
+    # latency is taken as the median over the run's repeats
+    repeat_key: str | None = None
 
 
 def tgd_inverse_cdf(q: float, a: float, u: np.ndarray) -> np.ndarray:
@@ -75,22 +78,22 @@ def tgd_inverse_cdf(q: float, a: float, u: np.ndarray) -> np.ndarray:
 
 
 def draw_stratified(rng: np.random.Generator, q: float, a: float, n: int):
-    """n TGD(q, a) variates by inversion of a stratified sample: one uniform
-    in each of n equal strata.  Returns the variates in random order and
-    their histogram.  The histogram is within one count of n*pmf at every
-    value, so the optimisers meet the same landscape at every seed and the
-    cost of a fit does not swing with the sampling noise of a few files."""
-    values = tgd_inverse_cdf(q, a, stratified(rng, n))
+    """n TGD(q, a) variates by inversion of the stratum midpoints (i + 1/2)/n,
+    in an order drawn from ``rng``, and their histogram.  The histogram is
+    the same at every seed and within one count of n*pmf at every value.  A
+    fit's cost swings by up to a factor of two when a single value moves
+    (the Nelder-Mead paths change), so fresh samples per seed would make the
+    run-to-run spread a property of the sample rather than of the program."""
+    values = tgd_inverse_cdf(q, a, (rng.permutation(n) + 0.5) / n)
     return values, {int(y): int(c) for y, c in enumerate(np.bincount(values)) if c}
 
 
-def stratified_counts(rng: np.random.Generator, q: float, a: float, n: int) -> dict[int, int]:
+def stratified_counts(q: float, a: float, n: int) -> dict[int, int]:
     """The histogram of :func:`draw_stratified`, made stratum block by
     block so the benchmark's own memory stays small next to the program's."""
     total = np.zeros(1, dtype=np.int64)
     for lo in range(0, n, 100_000):
-        hi = min(n, lo + 100_000)
-        c = np.bincount(tgd_inverse_cdf(q, a, (np.arange(lo, hi) + rng.random(hi - lo)) / n))
+        c = np.bincount(tgd_inverse_cdf(q, a, (np.arange(lo, min(n, lo + 100_000)) + 0.5) / n))
         if len(c) < len(total):
             c, total = total, c
         c[: len(total)] += total
@@ -149,6 +152,11 @@ class Workload:
         """Yield lists of ops, forever."""
         raise NotImplementedError
 
+    def probes(self) -> list[Op]:
+        """Fixed requests at the edge of the domain, run once per run
+        outside the timed loop; their outcomes do not count in its ops."""
+        return []
+
 
 # --------------------------------------------------------------------------
 # fit
@@ -171,30 +179,31 @@ class Fit(Workload):
     why = "CLI fits of numpy-drawn files by mle and moments; the optimisers do the work"
     budget_s = 60.0
 
-    def write_file(self, path: str, fmt: str, counts: dict[int, int], values=None) -> None:
+    @staticmethod
+    def write_file(path: str, fmt: str, counts: dict[int, int], values, rng) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             if fmt == "lines":
                 fh.write("\n".join(map(str, values.tolist())) + "\n")
             else:
-                fh.write("value,count\n" + "".join(f"{y},{c}\n" for y, c in counts.items()))
+                rows = list(counts.items())
+                fh.write("value,count\n" + "".join("%d,%d\n" % rows[i] for i in rng.permutation(len(rows))))
 
     def rounds(self):
-        r = 0
+        """Every round fits the same four files, written once; the seed
+        orders their lines or rows."""
+        files = []
+        for i, (fmt, n, q, a) in enumerate(FIT_FILES):
+            rng = self.rng(1, i)
+            if fmt == "lines":
+                values, counts = draw_stratified(rng, q, a, n)
+            else:
+                values, counts = None, stratified_counts(q, a, n)
+            path = os.path.join(self.workdir, f"fit-{i}.txt")
+            self.write_file(path, fmt, counts, values, rng)
+            files.append((path, os.path.getsize(path), counts, (q, a), f"{fmt}-{n:.0e}"))
         while True:
-            ops = []
-            for i, (fmt, n, q, a) in enumerate(FIT_FILES):
-                if fmt == "lines":
-                    values, counts = draw_stratified(self.rng(1, r, i), q, a, n)
-                else:
-                    values, counts = None, stratified_counts(self.rng(1, r, i), q, a, n)
-                path = os.path.join(self.workdir, f"fit-{i}.txt")
-                self.write_file(path, fmt, counts, values)
-                size = os.path.getsize(path)
-                for method in ("mle", "moments"):
-                    kind = f"fit:{method}:{fmt}-{n:.0e}:({q},{a})"
-                    ops.append(self.fit_op(path, size, method, counts, (q, a), kind))
-            yield ops
-            r += 1
+            yield [self.fit_op(path, size, method, counts, gen, f"fit:{method}:{label}:{gen}")
+                   for path, size, counts, gen, label in files for method in ("mle", "moments")]
 
     def fit_op(self, path, size, method, counts, gen, kind) -> Op:
         argv = ["fit", "--input", path, "--method", method]
@@ -209,7 +218,7 @@ class Fit(Workload):
             return refused_valid(out) or refs.check_optimizing_fit(json.loads(out), counts, gen)
 
         return Op(kind, run, check, self.budget_s, f"generated by ({gen[0]}, {gen[1]})",
-                  io=lambda: {"bytes_read": size, "bytes_written": sum(written)})
+                  io=lambda: {"bytes_read": size, "bytes_written": sum(written)}, repeat_key=kind)
 
 
 # --------------------------------------------------------------------------
@@ -231,24 +240,30 @@ class Simulate(Workload):
     budget_s = 30.0
 
     def rounds(self):
+        """Each of the 32 cases has its own (q, alpha), the same at every
+        seed: the cost of a case depends on q (the number of digits the CLI
+        writes and reads), so (q, alpha) drawn per seed would make the cost
+        of a run depend on its seed.  Every round runs all cases in an order
+        and with sampler seeds drawn from the seed, so each case is a request
+        repeated over the run."""
+        rng = np.random.default_rng([2])
+        cases = [(n, s, f) for n in SIM_N for s, f in SIM_COMBOS]
+        om = log_uniform(stratified(rng, len(cases)), 0.05, 0.9)
+        alpha = draw_alpha(rng, len(cases))
         r = 0
         while True:
             rng = self.rng(2, r)
-            cases = [(n, s, f) for n in SIM_N for s, f in SIM_COMBOS]
-            order = rng.permutation(len(cases))
-            om = log_uniform(stratified(rng, len(cases)), 0.05, 0.9)
-            alpha = draw_alpha(rng, len(cases))
             seeds = rng.integers(0, 2**64, len(cases), dtype=np.uint64)
             ops = []
-            for j, k in enumerate(order):
+            for j, k in enumerate(rng.permutation(len(cases))):
                 n, sampler, fitter = cases[k]
                 path = os.path.join(self.workdir, f"sim-{j}.txt")
-                ops.append(self.sim_op(path, float(1.0 - om[j]), float(alpha[j]), n,
-                                       int(seeds[j]), sampler, fitter, rng))
+                ops.append(self.sim_op(path, float(1.0 - om[k]), float(alpha[k]), n,
+                                       int(seeds[j]), sampler, fitter, rng, f"case-{k}"))
             yield ops
             r += 1
 
-    def sim_op(self, path, q, a, n, seed, sampler, fitter, rng) -> Op:
+    def sim_op(self, path, q, a, n, seed, sampler, fitter, rng, case) -> Op:
         sample_argv = ["sample", "--q", repr(q), "--alpha", repr(a), "--n", str(n),
                        "--seed", str(seed), "--method", sampler, "--output", path]
         fit_argv = ["fit", "--input", path, "--method", fitter]
@@ -285,7 +300,7 @@ class Simulate(Workload):
                     "bytes_written": size + (len(out) if isinstance(out, str) else 0)}
 
         return Op(f"simulate:{sampler}+{fitter}", run, check, self.budget_s,
-                  f"q={q!r} alpha={a!r} n={n} seed={seed}", io=io_counts)
+                  f"q={q!r} alpha={a!r} n={n} seed={seed}", io=io_counts, repeat_key=case)
 
     @staticmethod
     def check_draws(q, a, seed, sampler, values, positions) -> str | None:
@@ -314,15 +329,29 @@ POINT_MIX = {"pmf": 106, "cdf": 106, "survival": 106, "hazard": 106, "reversed_h
              "quantile": 106, "median": 106, "mode": 106, "hazard_class": 106, "summarize": 26}
 BLOCK = 1000
 AUDITS_PER_BLOCK = 20          # 2%: p90 still reads point requests
-EDGE_EVERY_BLOCKS = 5          # one domain-edge request per 5000 ops
-POINT_BUDGET_S = 0.05
-AUDIT_BUDGET_S = 2.0
+POINT_BUDGET_S = 0.5
+AUDIT_BUDGET_S = 5.0
 Y_MAX = 2**40
+# hazard at alpha = 1 divides q * q**y by q**y, which fails once q**y
+# underflows (see DEFECT_PROBES): the loop keeps q**(y + 1) above this
+HAZARD_Q_POW_MIN = 1e-290
 EDGE_Q = 1.0 - 1e-10
-EDGE_REQUESTS = (
+# Requests at the edge of the domain and where tgd has known defects.  They
+# run once per run, before the timed loop and from the same fixed list at
+# every seed, so that their outcomes are the same in every run; the loop's
+# requests stay clear of them.  (kind, function, (q, alpha), y or level)
+DEFECT_PROBES = (
     ("edge:quantile", "quantile", (EDGE_Q, -1.0), 1.0 - 1e-12),
     ("edge:mode", "mode", (EDGE_Q, -1.0), None),
     ("edge:summarize", "summarize", (1e-300, -1.0), None),
+    # q**y underflows to 0, and short of that is subnormal
+    ("probe:hazard", "hazard", (0.5, 1.0), 1100),
+    ("probe:hazard", "hazard", (0.4394220579490936, 1.0), 244136509204),
+    ("probe:hazard", "hazard", (0.9992291711358011, 1.0), 963056),
+    # y = 0 on a grid of (q, alpha): 1 - q log-spaced on [1e-4, 0.95]
+    *(("probe:reversed_hazard@0", "reversed_hazard", (1.0 - om, a), 0)
+      for om in np.logspace(-4.0, math.log10(0.95), 24).tolist()
+      for a in np.linspace(-1.0, 1.0, 9).tolist()),
 )
 
 
@@ -366,15 +395,15 @@ class Evaluate(Workload):
         kinds = [k for k, n in POINT_MIX.items() for _ in range(n)]
         om = np.concatenate([log_uniform(stratified(rng, n), 1e-4, 0.95) for n in POINT_MIX.values()])
         alpha = draw_alpha(rng, len(kinds))
-        y = np.floor(np.exp(rng.uniform(0.0, math.log(Y_MAX), len(kinds)))).astype(np.int64)
-        y[rng.random(len(kinds)) < 0.125] = 0
+        y_u = rng.uniform(0.0, 1.0, len(kinds))
+        zero = rng.random(len(kinds)) < 0.125
         levels = rng.uniform(0.0, 1.0, len(kinds))
-        points = [self.point_op(k, 1.0 - float(om[i]), float(alpha[i]), int(y[i]), float(levels[i]))
-                  for i, k in enumerate(kinds)]
+        points = []
+        for i, k in enumerate(kinds):
+            q, a = 1.0 - float(om[i]), float(alpha[i])
+            y = 0 if zero[i] and k != "reversed_hazard" else self.draw_y(k, q, a, float(y_u[i]))
+            points.append(self.point_op(k, q, a, y, float(levels[i])))
         points = [points[i] for i in rng.permutation(len(points))]
-        if b % EDGE_EVERY_BLOCKS == EDGE_EVERY_BLOCKS - 1:
-            kind, fn, (q, a), arg = EDGE_REQUESTS[(b // EDGE_EVERY_BLOCKS) % len(EDGE_REQUESTS)]
-            points[0] = self.point_op(fn, q, a, 0, arg, kind)
         audit_om = log_uniform(stratified(rng, AUDITS_PER_BLOCK), 0.01, 0.95)
         audit_alpha = draw_alpha(rng, AUDITS_PER_BLOCK)
         ops = []
@@ -384,6 +413,18 @@ class Evaluate(Workload):
             ops.append(self.audit_op(1.0 - float(audit_om[j]), float(audit_alpha[j])))
         ops.extend(points[AUDITS_PER_BLOCK * stride:])
         return ops
+
+    @staticmethod
+    def draw_y(kind: str, q: float, a: float, u: float) -> int:
+        """y log-uniform on [1, Y_MAX]; for hazard at alpha = 1, on [1, the
+        largest y with q**(y + 1) >= HAZARD_Q_POW_MIN]."""
+        y_max = Y_MAX
+        if kind == "hazard" and a == 1.0:
+            y_max = min(y_max, max(1, math.floor(math.log(HAZARD_Q_POW_MIN) / math.log(q)) - 1))
+        return math.floor(math.exp(u * math.log(y_max)))
+
+    def probes(self) -> list[Op]:
+        return [self.point_op(fn, q, a, arg, arg, kind) for kind, fn, (q, a), arg in DEFECT_PROBES]
 
     def point_op(self, fn_name, q, a, y, level, kind=None) -> Op:
         params = tgd.Params(q, a)
