@@ -29,8 +29,10 @@ from .core import (
     survival,
 )
 from .estimate import (
+    Dataset,
     EstimationError,
     Method,
+    dataset_from_counts,
     empirical_cdf_anchors,
     fit as fit_dataset,
     ingest,
@@ -174,7 +176,7 @@ def _cmd_sample(args) -> str:
     return "".join(f"{v}\n" for v in batch.values)
 
 
-def _read_observations(path: str) -> list[int]:
+def _read_dataset(path: str) -> Dataset:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
@@ -184,8 +186,8 @@ def _read_observations(path: str) -> list[int]:
     if not lines:
         raise _InputError(f"{path} holds no observations")
     header = lines[0].lower().replace(" ", "")
-    values: list[int] = []
     if header.startswith("value,count"):
+        counts: dict[int, int] = {}
         for ln in lines[1:]:
             parts = ln.split(",")
             if len(parts) != 2:
@@ -196,19 +198,20 @@ def _read_observations(path: str) -> list[int]:
                 raise _InputError(f"malformed histogram row {ln!r}") from None
             if c < 0:
                 raise _InputError(f"negative count in row {ln!r}")
-            values.extend([v] * c)
-    else:
-        for ln in lines:
-            try:
-                values.append(int(ln))
-            except ValueError:
-                raise _InputError(f"non-integer observation {ln!r}") from None
-    return values
+            if c:  # a zero count adds no observation, whatever its value
+                counts[v] = counts.get(v, 0) + c
+        return dataset_from_counts(counts)
+    values: list[int] = []
+    for ln in lines:
+        try:
+            values.append(int(ln))
+        except ValueError:
+            raise _InputError(f"non-integer observation {ln!r}") from None
+    return ingest(values)
 
 
 def _cmd_fit(args) -> str:
-    values = _read_observations(args.input)
-    dataset = ingest(values)
+    dataset = _read_dataset(args.input)
     anchors = None
     if args.method == "quantiles" and any(
         v is not None for v in (args.t1, args.p1, args.t2, args.p2)

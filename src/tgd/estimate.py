@@ -8,8 +8,8 @@ Four procedures are implemented:
 * mle          -- maximize the log likelihood.
 
 The first two reduce to one-dimensional root-finding because both defining
-equations are linear in alpha; the last two run a multi-start Nelder-Mead
-simplex over the closed box (q, alpha) in [1e-6, 1-1e-6] x [-1, 1].
+equations are linear in alpha; the last two set alpha to its optimum for each
+q and search q in [1e-6, 1-1e-6] along the resulting profile curve.
 
 Identifiability caveats, handled explicitly rather than silently:
 
@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .core import Params
 
@@ -57,13 +57,14 @@ __all__ = [
 Q_BOX = (1e-6, 1.0 - 1e-6)
 ALPHA_BOX = (-1.0, 1.0)
 _SCAN_PANELS = 1000
-_STARTS_PER_AXIS = 9
 _ROOT_XTOL = 1e-13
 _ALPHA_CLAMP = 1e-9  # recovered alpha this close to +-1 is clamped, not rejected
 _BOUNDARY_TOL = 1e-9
 _DUALITY_TOL = 1e-6
 _DIP_TOL = 1e-4  # residual dips this small are inspected for tangent roots
 _TANGENT_TOL = 1e-11  # a refined dip this close to zero counts as a root
+_NEWTON_MAXITER = 100
+_ALPHA_XTOL = 1e-15
 
 
 class EstimationError(ValueError):
@@ -171,9 +172,11 @@ class FitReport:
     ``objective`` is the final residual magnitude (matching fits), sum of
     squared moment errors (moments) or log likelihood (mle);
     ``log_likelihood`` is always evaluated at the fitted parameters so
-    methods can be compared.  ``boundary`` names parameters that ended on
-    the search box edge; ``alternatives`` lists distribution-distinct
-    parameter pairs whose objective ties the reported one.
+    methods can be compared.  ``iterations`` counts root-finder iterations,
+    plus for moments and mle the q at which alpha's optimum was solved.
+    ``boundary`` names parameters that ended on the search box edge.  Optima
+    tying the best are ordered by increasing alpha: ``params`` is the first
+    and ``alternatives`` holds the distribution-distinct rest.
     """
 
     params: Params
@@ -210,16 +213,8 @@ def _derivative_root(residual, lo: float, hi: float) -> float | None:
         return None
 
 
-def _scan_roots(residual, alpha_of_q) -> tuple[list[tuple[float, float]], int]:
-    """All (q, alpha) solving residual(q) = 0 with admissible alpha."""
-    lo, hi = Q_BOX
-    qs = np.linspace(lo, hi, _SCAN_PANELS + 1)
-    vals = np.empty(_SCAN_PANELS + 1)
-    for i, q in enumerate(qs):
-        try:
-            vals[i] = residual(q)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            vals[i] = math.nan
+def _panel_roots(residual, qs: np.ndarray, vals: np.ndarray) -> tuple[list[float], int]:
+    """Sorted roots of ``residual`` between the nodes ``qs`` (values ``vals``)."""
     roots: list[float] = []
     iterations = 0
     for i in range(_SCAN_PANELS):
@@ -282,13 +277,7 @@ def _scan_roots(residual, alpha_of_q) -> tuple[list[tuple[float, float]], int]:
     for q in roots:
         if not deduped or q - deduped[-1] > 1e-7:
             deduped.append(q)
-
-    admissible: list[tuple[float, float]] = []
-    for q in deduped:
-        a = alpha_of_q(q)
-        if abs(a) <= 1.0 + _ALPHA_CLAMP:
-            admissible.append((q, min(1.0, max(-1.0, a))))
-    return admissible, iterations
+    return deduped, iterations
 
 
 def _collapse_duality(cands: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -307,7 +296,20 @@ def _collapse_duality(cands: list[tuple[float, float]]) -> list[tuple[float, flo
 
 
 def _solve_matching(residual, alpha_of_q, kind: str) -> tuple[Params, int]:
-    candidates, iterations = _scan_roots(residual, alpha_of_q)
+    # every (q, alpha) solving residual(q) = 0 with admissible alpha
+    qs = np.linspace(*Q_BOX, _SCAN_PANELS + 1)
+    vals = np.empty(_SCAN_PANELS + 1)
+    for i, q in enumerate(qs):
+        try:
+            vals[i] = residual(q)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            vals[i] = math.nan
+    roots, iterations = _panel_roots(residual, qs, vals)
+    candidates = []
+    for q in roots:
+        a = alpha_of_q(q)
+        if abs(a) <= 1.0 + _ALPHA_CLAMP:
+            candidates.append((q, min(1.0, max(-1.0, a))))
     candidates = _collapse_duality(candidates)
     if not candidates:
         raise EstimationError(
@@ -378,10 +380,15 @@ def fit_quantiles(t1: int, p1: float, t2: int, p2: float) -> Params:
 
 
 # --------------------------------------------------------------------------
-# optimizing fits: multi-start Nelder-Mead over the (q, alpha) box
+# optimizing fits: searches over q of a profile curve
+#
+# For fixed q the log likelihood is concave in alpha and the moment objective
+# is a convex quadratic in it, so each has one optimum alpha_hat(q) on [-1, 1].
+# By the envelope theorem the profile curve's slope is the partial derivative
+# in q taken at (q, alpha_hat(q)).
 
 
-def _mean_raw2(q: float, a: float) -> tuple[float, float]:
+def _mean_raw2(q, a):
     r1 = q / (1.0 - q)
     r2 = (q * q) / (1.0 - q * q)
     fm1 = (1.0 - a) * r1 + a * r2
@@ -414,139 +421,129 @@ def log_likelihood(params: Params, dataset: Dataset) -> float:
     return total
 
 
-def _multistart(objective) -> tuple[object, list[object]]:
-    """Run Nelder-Mead from the 9x9 start grid; return the best result (ties
-    keep the earliest start) and every per-start result."""
-    results = []
-    best = None
-    for a0 in np.linspace(ALPHA_BOX[0], ALPHA_BOX[1], _STARTS_PER_AXIS):
-        for q0 in np.linspace(Q_BOX[0], Q_BOX[1], _STARTS_PER_AXIS):
-            res = minimize(
-                objective,
-                np.array([q0, a0]),
-                method="Nelder-Mead",
-                bounds=[Q_BOX, ALPHA_BOX],
-                options={
-                    "xatol": 1e-10,
-                    "fatol": 1e-14,
-                    "maxiter": 2000,
-                    "maxfev": 4000,
-                },
-            )
-            results.append(res)
-            if best is None or res.fun < best.fun:
-                best = res
-    return best, results
+def _likelihood_curve(dataset: Dataset):
+    """qs -> (alpha_hat, slope of the profile log likelihood over n)."""
+    ys = np.array(list(dataset.counts), dtype=float)
+    ws = np.array(list(dataset.counts.values())) / dataset.n
+
+    def curve(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        col = qs[:, None]
+        log_p = ys * np.log(col) + np.log1p(col)  # p = q**y*(1+q)
+        p = np.exp(log_p)
+        # the score sum w*(p-1)/((1-a) + a*p) falls in a: alpha_hat is -1 or +1
+        # where the score has the right sign there, else its root in between.
+        # At a = +1 each term is 1 - 1/p, overflowing to -inf once p underflows.
+        above_lo = ((p - 1.0) / (2.0 - p)) @ ws > 0.0
+        with np.errstate(over="ignore"):
+            inner = above_lo & ((-np.expm1(-log_p) * ws).sum(axis=1) < 0.0)
+        a = np.where(above_lo, 1.0, -1.0)
+        a[inner] = _score_root(p[inner], ws)
+        # d/dq log[(1-a) + a*p] = a*(y/q + 1/(1+q)) * p/((1-a) + a*p), whose
+        # ratio is 1 at a = 1, also where p underflows
+        d = (1.0 - a)[:, None] + a[:, None] * p
+        ratio = np.divide(p, d, out=np.ones_like(p), where=d > 0.0)
+        dlog_p = ys / col + 1.0 / (1.0 + col)
+        return a, -1.0 / (1.0 - qs) + dataset.mean / qs + a * ((dlog_p * ratio) @ ws)
+
+    return curve
 
 
-def _boundary_flags(q: float, a: float) -> tuple[str, ...]:
-    flags = []
-    if q <= Q_BOX[0] + _BOUNDARY_TOL or q >= Q_BOX[1] - _BOUNDARY_TOL:
-        flags.append("q")
-    if a <= ALPHA_BOX[0] + _BOUNDARY_TOL or a >= ALPHA_BOX[1] - _BOUNDARY_TOL:
-        flags.append("alpha")
-    return tuple(flags)
+def _score_root(p: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    # per row, the root in (-1, 1) of sum w*(p-1)/((1-a) + a*p) by Newton's
+    # method, bisecting the bracket [lo, hi] when a step would leave it
+    b = p - 1.0
+    x, lo, hi = np.zeros(len(p)), np.full(len(p), -1.0), np.ones(len(p))
+    for _ in range(_NEWTON_MAXITER):
+        r = b / ((1.0 - x)[:, None] + x[:, None] * p)
+        g = r @ ws
+        lo, hi = np.where(g > 0.0, x, lo), np.where(g < 0.0, x, hi)
+        step = x + g / ((r * r) @ ws)
+        step = np.where(((lo < step) & (step < hi)) | (step == x), step, 0.5 * (lo + hi))
+        if np.all(np.abs(step - x) <= _ALPHA_XTOL):
+            return step
+        x = step
+    return x
 
 
-def _canonical_and_rivals(best, results, objective, tie_tol):
-    """Resolve the best point against the alpha=1 duality and collect
-    distribution-distinct rivals whose objective ties it."""
-    q, a = float(best.x[0]), float(best.x[1])
-    fun = float(best.fun)
+def _moment_curve(dataset: Dataset):
+    """qs -> (alpha_hat, slope of the profile moment objective over (1+m2)**2)."""
+    m1, m2 = dataset.mean, dataset.m2
 
-    # the alpha = 1 ray duplicates the geometric law GD(q**2); report the
-    # geometric form whenever its q stays inside the box
-    if a >= 1.0 - _BOUNDARY_TOL and Q_BOX[0] <= q * q <= Q_BOX[1]:
-        dual = (q * q, 0.0)
-        if objective(dual) <= fun + tie_tol:
-            q, a = dual
-            fun = float(objective(dual))
+    def curve(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # both moments are affine in alpha: mean = u0 + a*u1, E[Y**2] = v0 + a*v1
+        (u0, v0), (u_at1, v_at1) = _mean_raw2(qs, 0.0), _mean_raw2(qs, 1.0)
+        u1, v1 = u_at1 - u0, v_at1 - v0
+        a = np.clip(-(u1 * (u0 - m1) + v1 * (v0 - m2)) / (u1 * u1 + v1 * v1), -1.0, 1.0)
+        # d/dq of r1 = q/(1-q) and r2 = q**2/(1-q**2), the means at alpha = 0, 1
+        d1, d2 = 1.0 / (1.0 - qs) ** 2, 2.0 * qs / (1.0 - qs * qs) ** 2
+        mean_dq = d1 + a * (d2 - d1)
+        raw2_dq = mean_dq + 4.0 * ((1.0 - a) * u0 * d1 + a * u_at1 * d2)
+        slope = (u0 + a * u1 - m1) * mean_dq + (v0 + a * v1 - m2) * raw2_dq
+        return a, 2.0 * slope / (1.0 + m2) ** 2
 
-    rivals: list[tuple[float, float]] = []
-    for res in results:
-        if not res.success or res.fun > fun + tie_tol:
-            continue
-        rq, ra = float(res.x[0]), float(res.x[1])
-        if ra >= 1.0 - _BOUNDARY_TOL and Q_BOX[0] <= rq * rq <= Q_BOX[1]:
-            if objective((rq * rq, 0.0)) <= res.fun + tie_tol:
-                rq, ra = rq * rq, 0.0
-        if abs(rq - q) <= 1e-5 and abs(ra - a) <= 1e-5:
-            continue
-        if any(abs(rq - xq) <= 1e-5 and abs(ra - xa) <= 1e-5 for xq, xa in rivals):
-            continue
-        rivals.append((rq, ra))
-    rivals.sort()
-    return (q, a), fun, rivals
+    return curve
 
 
-def _fit_box(objective, dataset: Dataset, method: Method, sign: float,
-             tie_tol_of) -> FitReport:
-    best, results = _multistart(objective)
-    (q, a), fun, rivals = _canonical_and_rivals(
-        best, results, objective, tie_tol=tie_tol_of(float(best.fun))
-    )
-    params = Params(q, a)
-    alternatives = tuple(Params(rq, ra) for rq, ra in rivals)
-    return FitReport(
-        params=params,
-        method=method,
-        objective=sign * fun,
-        converged=bool(best.success) and not alternatives,
-        iterations=int(best.nit),
-        log_likelihood=log_likelihood(params, dataset),
-        boundary=_boundary_flags(q, a),
-        alternatives=alternatives,
-    )
+def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float,
+                 tie_tol) -> FitReport:
+    """Minimise ``sign * objective`` along the profile curve: its distinct
+    optima are the local minima among the box ends and slope roots."""
+    if dataset.n < 2:
+        raise EstimationError(f"{method.value} fitting needs a sample of size >= 2")
+    qs = np.linspace(*Q_BOX, _SCAN_PANELS + 1)
+    solved = len(qs)
+
+    def slope(q: float) -> float:
+        nonlocal solved
+        solved += 1
+        return float(curve(np.array([q]))[1][0])
+
+    roots, iterations = _panel_roots(slope, qs, curve(qs)[1])
+    points = np.array([Q_BOX[0]] + [q for q in roots if Q_BOX[0] < q < Q_BOX[1]] + [Q_BOX[1]])
+    cands = [(float(q), float(a)) for q, a in zip(points, curve(points)[0])]
+    costs = [sign * objective(Params(q, a)) for q, a in cands]
+    # the curve is monotone between consecutive candidates, so a candidate
+    # is a local minimum when neither neighbour is lower
+    optima = [i for i, c in enumerate(costs) if c <= min(costs[max(i - 1, 0):i + 2])]
+    best = min(costs[i] for i in optima)
+    tied = [cands[i] for i in optima if costs[i] <= best + tie_tol(best)]
+    # an alpha = 1 optimum at q is the law of (q**2, 0); when q**2 lies in
+    # the box that law is on the curve, whose own optimum there is at least
+    # as good, so the alpha = 1 copy is no distinct optimum
+    tied = [c for c in tied if c[1] < 1.0 - _DUALITY_TOL or c[0] ** 2 < Q_BOX[0]] or tied
+    tied.sort(key=lambda c: (c[1], c[0]))
+    params = Params(*tied[0])
+    return _report(params, method, dataset, objective(params), solved + len(points) + iterations,
+                   tuple(Params(q, a) for q, a in tied[1:]))
 
 
 def fit_moments(dataset: Dataset) -> FitReport:
     """Least-squares moment matching of (mean, second raw moment).
 
-    Always returns the best point found; ``converged`` is false when the
-    simplex failed its tolerances or when a distribution-distinct parameter
-    pair matches the data equally well (the fold region of the moment map),
-    in which case the rivals are reported in ``alternatives``.
+    Searches q along the profile objective, with alpha at its closed-form
+    least-squares value clipped to [-1, 1].  ``converged`` is false when a
+    distribution-distinct parameter pair matches the data equally well (the
+    fold region of the moment map); the rivals are in ``alternatives``.
     """
-    if dataset.n < 2:
-        raise EstimationError("moment fitting needs a sample of size >= 2")
     m1, m2 = dataset.mean, dataset.m2
-
-    def objective(x) -> float:
-        mean, raw2 = _mean_raw2(float(x[0]), float(x[1]))
-        return (mean - m1) ** 2 + (raw2 - m2) ** 2
-
-    # a rival counts as an equal-quality solution when its objective is
-    # within the simplex convergence floor (curvature times xatol**2, which
-    # scales like the squared data magnitude) or within relative noise of a
-    # non-zero best
-    scale = (1.0 + m2) ** 2
-
-    def tie_tol(best_fun: float) -> float:
-        return max(3e-20 * scale, 1e-6 * best_fun)
-
-    return _fit_box(objective, dataset, Method.MOMENTS, sign=1.0, tie_tol_of=tie_tol)
+    # a rival ties within the rounding floor, which scales like the squared
+    # data magnitude, or within relative noise of a non-zero best
+    return _fit_profile(_moment_curve(dataset), dataset, Method.MOMENTS,
+                        lambda p: moment_objective(p, m1, m2), 1.0,
+                        lambda best: max(3e-20 * (1.0 + m2) ** 2, 1e-6 * best))
 
 
 def fit_mle(dataset: Dataset) -> FitReport:
     """Maximum likelihood over the box; ``objective`` is the final log
-    likelihood.  Best-found semantics, same convergence reporting as
-    :func:`fit_moments`."""
-    if dataset.n < 2:
-        raise EstimationError("maximum likelihood needs a sample of size >= 2")
-    items = tuple(dataset.counts.items())
-    n, mean = dataset.n, dataset.mean
+    likelihood.
 
-    def objective(x) -> float:
-        q, a = float(x[0]), float(x[1])
-        ll = n * math.log1p(-q) + n * mean * math.log(q)
-        for y, c in items:
-            ll += c * _log_bracket(q, a, y)
-        return -ll
-
-    def tie_tol(best_fun: float) -> float:
-        return 1e-9 * (1.0 + abs(best_fun))
-
-    return _fit_box(objective, dataset, Method.MLE, sign=-1.0, tie_tol_of=tie_tol)
+    Searches q along the profile log likelihood, with alpha at the root on
+    [-1, 1] of its monotone score.  Same convergence reporting as
+    :func:`fit_moments`.
+    """
+    return _fit_profile(_likelihood_curve(dataset), dataset, Method.MLE,
+                        lambda p: log_likelihood(p, dataset), -1.0,
+                        lambda best: 1e-9 * (1.0 + abs(best)))
 
 
 # --------------------------------------------------------------------------
@@ -577,16 +574,23 @@ def empirical_cdf_anchors(
     return t1, p1, t2, p2
 
 
-def _report_for_matching(params: Params, method: Method, dataset: Dataset,
-                         objective: float, iterations: int) -> FitReport:
+def _report(params: Params, method: Method, dataset: Dataset, objective: float,
+            iterations: int, alternatives: tuple[Params, ...] = ()) -> FitReport:
+    q, a = params.q, params.alpha
+    boundary = []
+    if q <= Q_BOX[0] + _BOUNDARY_TOL or q >= Q_BOX[1] - _BOUNDARY_TOL:
+        boundary.append("q")
+    if a <= ALPHA_BOX[0] + _BOUNDARY_TOL or a >= ALPHA_BOX[1] - _BOUNDARY_TOL:
+        boundary.append("alpha")
     return FitReport(
         params=params,
         method=method,
         objective=objective,
-        converged=True,
+        converged=not alternatives,
         iterations=iterations,
         log_likelihood=log_likelihood(params, dataset),
-        boundary=_boundary_flags(params.q, params.alpha),
+        boundary=tuple(boundary),
+        alternatives=alternatives,
     )
 
 
@@ -611,7 +615,7 @@ def fit(
             abs(_pmf_formula(params.q, params.alpha, 0) - p0),
             abs(_pmf_formula(params.q, params.alpha, 1) - p1),
         )
-        return _report_for_matching(params, method, dataset, resid, iters)
+        return _report(params, method, dataset, resid, iters)
     anchors = quantile_anchors or empirical_cdf_anchors(dataset)
     t1, p1, t2, p2 = anchors
     params, iters = _fit_quantiles_full(t1, p1, t2, p2)
@@ -619,4 +623,4 @@ def fit(
         abs(_cdf_formula(params.q, params.alpha, t1) - p1),
         abs(_cdf_formula(params.q, params.alpha, t2) - p2),
     )
-    return _report_for_matching(params, method, dataset, resid, iters)
+    return _report(params, method, dataset, resid, iters)

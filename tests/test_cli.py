@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -163,6 +164,29 @@ class TestFit:
         assert code == 0
         rec = json.loads(out)
         assert 0.0 < rec["q"] < 1.0 and -1.0 <= rec["alpha"] <= 1.0
+        lines = tmp_path / "lines.txt"
+        lines.write_text("0\n" * 60 + "1\n" * 25 + "2\n" * 10 + "3\n" * 5)
+        code, out_lines, _ = run_cli(
+            ["fit", "--input", str(lines), "--method", "moments"], capsys
+        )
+        assert code == 0 and out_lines == out
+
+    @pytest.mark.parametrize("method", ["moments", "mle"])
+    def test_histogram_count_is_not_expanded(self, capsys, tmp_path, method):
+        data = tmp_path / "hist.csv"
+        data.write_text(f"value,count\n0,{10**12}\n1,{4 * 10**11}\n2,7\n5,{10**12}\n")
+        start = time.perf_counter()
+        code, out, _ = run_cli(["fit", "--input", str(data), "--method", method], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["method"] == method
+
+    @pytest.mark.parametrize("rows", ["0,5\n1\n", "0,5\n1,x\n", "0,5\n1,-2\n", "0,5\n-1,3\n"])
+    def test_bad_histogram_rows_exit_2(self, capsys, tmp_path, rows):
+        data = tmp_path / "hist.csv"
+        data.write_text("value,count\n" + rows)
+        code, _, err = run_cli(["fit", "--input", str(data), "--method", "mle"], capsys)
+        assert code == 2 and err.startswith("error:")
 
     def test_quantile_anchor_flags(self, capsys, tmp_path):
         data = tmp_path / "d.txt"

@@ -1,0 +1,133 @@
+"""Profile-curve fits: pinned misreports of the former multi-start search,
+a brute-force grid guard against a missed optimum, and the criterion-10
+samples held against the values the 81-start Nelder-Mead search reached."""
+
+import json
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import full_grid
+from tgd import (
+    Params,
+    Tolerance,
+    dataset_from_counts,
+    fit_mle,
+    fit_moments,
+    ingest,
+    log_likelihood,
+    pmf,
+    raw_moment,
+    sample_many,
+    tail_bound,
+)
+from tgd.oracle import pmf_by_terms
+
+# values reached by the 81-start bounded Nelder-Mead search that the profile
+# search replaced, on the samples of test_criterion_10_estimators
+NELDER_MEAD = json.loads((Path(__file__).parent / "nelder_mead_values.json").read_text())
+
+
+def rounded_population(params: Params) -> dict[int, int]:
+    """{y: round(1e5 * pmf)} up to the 1e-12 tail bound."""
+    y_max = tail_bound(params, Tolerance(1e-12))
+    return {y: round(1e5 * pmf(params, y)) for y in range(y_max + 1)}
+
+
+@pytest.mark.parametrize("truth", [Params(0.5, 0.5), Params(0.3, -1.0)])
+def test_mle_on_rounded_population_converges_alone(truth):
+    # the multi-start search reported converged=False here: at (0.5, 0.5)
+    # its best start ran out of evaluations, and at (0.3, -1) it reported
+    # (0.300009, -1.0) as a rival although the profile has a single maximum
+    report = fit_mle(dataset_from_counts(rounded_population(truth)))
+    assert report.converged
+    assert report.alternatives == ()
+    assert abs(report.params.q - truth.q) < 1e-3
+    assert abs(report.params.alpha - truth.alpha) < 1e-2
+
+
+# --------------------------------------------------------------------------
+# brute-force guard: no optimum on a dense (q, alpha) grid beats the fit
+
+GRID_Q = np.linspace(0.0025, 0.9975, 200)
+GRID_ALPHA = np.linspace(-1.0, 1.0, 81)
+Y_MAX = 30
+# the oracle and the closed forms round differently; nothing else separates
+# the fit from a grid value it must reach
+LL_TOL = 1e-9
+MOMENT_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def grid_tables():
+    """log pmf (from the oracle) for y = 0..Y_MAX, mean and E[Y**2] at every
+    grid point."""
+    params = [Params(float(q), float(a)) for q in GRID_Q for a in GRID_ALPHA]
+    log_pmf = np.log([[pmf_by_terms(p, y) for p in params] for y in range(Y_MAX + 1)])
+    mean = np.array([raw_moment(p, 1) for p in params])
+    raw2 = np.array([raw_moment(p, 2) for p in params])
+    return log_pmf, mean, raw2
+
+
+histograms = st.dictionaries(
+    st.integers(min_value=0, max_value=Y_MAX),
+    st.integers(min_value=1, max_value=50),
+    min_size=1,
+    max_size=8,
+).filter(lambda h: sum(h.values()) >= 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=histograms)
+def test_fits_reach_the_grid_optimum(grid_tables, counts):
+    log_pmf, mean, raw2 = grid_tables
+    ds = dataset_from_counts(counts)
+
+    ys = list(counts)
+    grid_ll = float(np.max(np.array([counts[y] for y in ys]) @ log_pmf[ys]))
+    ll = fit_mle(ds).objective
+    assert ll >= grid_ll - LL_TOL * (1.0 + abs(grid_ll))
+
+    grid_obj = float(np.min((mean - ds.mean) ** 2 + (raw2 - ds.m2) ** 2))
+    obj = fit_moments(ds).objective
+    assert obj <= grid_obj + MOMENT_TOL * (1.0 + ds.m2) ** 2
+
+
+# --------------------------------------------------------------------------
+# the criterion-10 samples reach at least the Nelder-Mead values
+
+
+def test_mle_at_least_nelder_mead_on_criterion_10_samples():
+    cases = [(Params(0.6, -0.5), 10**4, 100 + s) for s in range(20)]
+    cases.append((Params(0.5, 0.5), 10**5, 7))
+    for truth, n, seed in cases:
+        ds = ingest(sample_many(truth, n, seed).values)
+        before = NELDER_MEAD["mle"][f"{truth.q},{truth.alpha},{n},{seed}"]
+        assert fit_mle(ds).objective >= before - 1e-9 * abs(before), (truth, seed)
+
+
+def test_moments_at_most_nelder_mead_on_criterion_10_samples():
+    for truth in full_grid():
+        if truth.q > 0.9:
+            continue
+        y_max = tail_bound(truth, Tolerance(1e-12))
+        ds = dataset_from_counts({y: 4.0 * pmf(truth, y) for y in range(y_max + 1)})
+        before = NELDER_MEAD["moments"][f"{truth.q},{truth.alpha}"]
+        assert fit_moments(ds).objective <= before + 3e-20 * (1.0 + ds.m2) ** 2, truth
+
+
+def test_mle_score_underflow_warns_nothing():
+    # q**2000 underflows for q below about 0.7, so the score at alpha = 1
+    # reads -inf over much of the scanned q range
+    ds = dataset_from_counts({0: 50, 1: 10, 2000: 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_mle(ds)
+    assert math.isfinite(report.objective)
+    for q in (0.2, 0.5, 0.9, 0.99):
+        for a in (-1.0, 0.0, 1.0):
+            assert report.objective >= log_likelihood(Params(q, a), ds)
