@@ -33,7 +33,6 @@ from .estimate import (
     EstimationError,
     Method,
     dataset_from_counts,
-    empirical_cdf_anchors,
     fit as fit_dataset,
     ingest,
 )
@@ -201,33 +200,18 @@ def _read_dataset(path: str) -> Dataset:
             if c:  # a zero count adds no observation, whatever its value
                 counts[v] = counts.get(v, 0) + c
         return dataset_from_counts(counts)
-    values: list[int] = []
-    for ln in lines:
+    parsed: dict[str, int] = {}
+    for ln in dict.fromkeys(lines):  # each distinct line is parsed once
         try:
-            values.append(int(ln))
+            parsed[ln] = int(ln)
         except ValueError:
             raise _InputError(f"non-integer observation {ln!r}") from None
-    return ingest(values)
+    return ingest([parsed[ln] for ln in lines])
 
 
 def _cmd_fit(args) -> str:
     dataset = _read_dataset(args.input)
-    anchors = None
-    if args.method == "quantiles" and any(
-        v is not None for v in (args.t1, args.p1, args.t2, args.p2)
-    ):
-        t1, p1, t2, p2 = empirical_cdf_anchors(dataset)
-        t1 = args.t1 if args.t1 is not None else t1
-        t2 = args.t2 if args.t2 is not None else t2
-        if args.p1 is not None:
-            p1 = args.p1
-        elif args.t1 is not None:
-            p1 = _ecdf(dataset, t1)
-        if args.p2 is not None:
-            p2 = args.p2
-        elif args.t2 is not None:
-            p2 = _ecdf(dataset, t2)
-        anchors = (t1, p1, t2, p2)
+    anchors = (args.t1, args.p1, args.t2, args.p2)
     report = fit_dataset(dataset, Method(args.method), quantile_anchors=anchors)
     record = {
         "q": report.params.q,
@@ -241,11 +225,6 @@ def _cmd_fit(args) -> str:
         "alternatives": [{"q": p.q, "alpha": p.alpha} for p in report.alternatives],
     }
     return json.dumps(record) + "\n"
-
-
-def _ecdf(dataset, t: int) -> float:
-    total = sum(c for y, c in dataset.counts.items() if y <= t)
-    return total / dataset.n
 
 
 def _cmd_summary(args) -> str:

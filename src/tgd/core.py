@@ -145,9 +145,7 @@ def pmf(params: Params, y: int) -> float:
     result cannot go negative by cancellation.
     """
     y = _require_support_point(y)
-    q, a = params.q, params.alpha
-    qy = q**y
-    return _clamp_unit((1.0 - q) * qy * ((1.0 - a) + a * qy * (1.0 + q)), "pmf")
+    return _clamp_unit(_pmf_at(params.q, params.alpha, y), "pmf")
 
 
 def cdf(params: Params, y: int) -> float:
@@ -155,9 +153,22 @@ def cdf(params: Params, y: int) -> float:
     y = _as_integer(y)
     if y < 0:
         return 0.0
-    q, a = params.q, params.alpha
+    return _clamp_unit(_cdf_at(params.q, params.alpha, y), "cdf")
+
+
+# The closed forms of pmf and cdf at y >= 0, unvalidated: for loops that
+# validated their arguments once, and for the matching fits, which evaluate
+# them at any real alpha during elimination.
+
+
+def _pmf_at(q: float, a: float, y: int) -> float:
+    qy = q**y
+    return (1.0 - q) * qy * ((1.0 - a) + a * qy * (1.0 + q))
+
+
+def _cdf_at(q: float, a: float, y: int) -> float:
     z = q ** (y + 1)
-    return _clamp_unit(1.0 + (a - 1.0) * z - a * z * z, "cdf")
+    return 1.0 + (a - 1.0) * z - a * z * z
 
 
 def survival(params: Params, y: int) -> float:
@@ -178,10 +189,14 @@ def hazard(params: Params, y: int) -> float:
 
     Computed from the reduced ratio 1 - q*B(y+1)/B(y) with
     B(y) = (1-alpha) + alpha*q**y, which avoids forming the two nearly
-    cancelling tail probabilities separately.
+    cancelling tail probabilities separately.  At alpha = 1 the ratio
+    B(y+1)/B(y) is exactly q, so the hazard is the constant 1 - q**2 even
+    where q**y underflows.
     """
     y = _require_support_point(y)
     q, a = params.q, params.alpha
+    if a == 1.0:
+        return 1.0 - q * q
     qy = q**y
     num = (1.0 - a) + a * q * qy
     den = (1.0 - a) + a * qy
@@ -189,9 +204,15 @@ def hazard(params: Params, y: int) -> float:
 
 
 def reversed_hazard(params: Params, y: int) -> float:
-    """Reversed hazard rate P(Y = y) / P(Y <= y), a value in (0, 1]."""
+    """Reversed hazard rate P(Y = y) / P(Y <= y), a value in (0, 1].
+
+    Exactly 1 at y = 0, where the two probabilities are the same event.
+    """
     y = _require_support_point(y)
-    return _clamp_unit(pmf(params, y) / cdf(params, y), "reversed hazard")
+    if y == 0:
+        return 1.0
+    q, a = params.q, params.alpha
+    return _clamp_unit(_pmf_at(q, a, y) / _cdf_at(q, a, y), "reversed hazard")
 
 
 class HazardBehavior(Enum):
@@ -261,17 +282,13 @@ def quantile(params: Params, p: float) -> int:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ParameterError(f"quantile level must lie in (0, 1), got {p!r}")
-    return _quantile_unchecked(params, p)
-
-
-def _quantile_unchecked(params: Params, p: float) -> int:
-    q = params.q
+    q, a = params.q, params.alpha
     z = _quantile_root(params, p)
     y = max(0, math.ceil(math.log(z) / math.log(q)) - 1)
     thr = p - min(_HIT_SLACK, 0.5 * p)
-    while cdf(params, y) < thr:
+    while _cdf_at(q, a, y) < thr:
         y += 1
-    while y > 0 and cdf(params, y - 1) >= thr:
+    while y > 0 and _cdf_at(q, a, y - 1) >= thr:
         y -= 1
     return y
 
@@ -303,12 +320,12 @@ def mode(params: Params) -> int:
     """
     if not is_unimodal(params):
         return 0
-    q = params.q
+    q, a = params.q, params.alpha
     cap = math.ceil(math.log(5e-16) / math.log(q)) + 2
     y = 0
-    cur = pmf(params, 0)
+    cur = _pmf_at(q, a, 0)
     while y < cap:
-        nxt = pmf(params, y + 1)
+        nxt = _pmf_at(q, a, y + 1)
         if nxt <= cur:
             break
         cur = nxt

@@ -34,7 +34,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .core import Params
+from .core import Params, _cdf_at, _pmf_at
+from .moments import _factorial_moment_at
 
 __all__ = [
     "EstimationError",
@@ -102,24 +103,24 @@ class Dataset:
 
 
 def ingest(values: Iterable[int]) -> Dataset:
-    """Build a dataset from raw observations, validating each one."""
+    """Build a dataset from raw observations, validating each distinct one."""
     seq = list(values)
     if not seq:
         raise EstimationError("cannot ingest an empty sample")
-    counts: Counter[int] = Counter()
-    for i, v in enumerate(seq):
+    counts: dict[int, int] = {}
+    for v, c in Counter(seq).items():  # in order of first occurrence
         try:
             iv = operator.index(v)
         except TypeError:
             fv = float(v)
             if not fv.is_integer():
                 raise EstimationError(
-                    f"non-integer value {v!r} at index {i}"
+                    f"non-integer value {v!r} at index {seq.index(v)}"
                 ) from None
             iv = int(fv)
         if iv < 0:
-            raise EstimationError(f"negative value {v!r} at index {i}")
-        counts[iv] += 1
+            raise EstimationError(f"negative value {v!r} at index {seq.index(v)}")
+        counts[iv] = counts.get(iv, 0) + c
     return dataset_from_counts(counts)
 
 
@@ -141,21 +142,6 @@ def dataset_from_counts(counts: Mapping[int, float]) -> Dataset:
     mean = math.fsum(y * c for y, c in clean.items()) / n
     m2 = math.fsum(y * y * c for y, c in clean.items()) / n
     return Dataset(counts=dict(sorted(clean.items())), n=n, mean=mean, m2=m2)
-
-
-# --------------------------------------------------------------------------
-# shared raw-formula helpers (evaluated for arbitrary alpha during
-# elimination, so they bypass Params validation on purpose)
-
-
-def _pmf_formula(q: float, a: float, y: int) -> float:
-    qy = q**y
-    return (1.0 - q) * qy * ((1.0 - a) + a * qy * (1.0 + q))
-
-
-def _cdf_formula(q: float, a: float, t: int) -> float:
-    z = q ** (t + 1)
-    return 1.0 + (a - 1.0) * z - a * z * z
 
 
 class Method(Enum):
@@ -280,19 +266,11 @@ def _panel_roots(residual, qs: np.ndarray, vals: np.ndarray) -> tuple[list[float
     return deduped, iterations
 
 
-def _collapse_duality(cands: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Drop alpha=1 solutions whose geometric twin (q**2, 0) is also present;
-    the two name the same distribution and the plain-geometric form wins."""
-    kept = list(cands)
-    for high in cands:
-        if abs(high[1] - 1.0) > _DUALITY_TOL:
-            continue
-        for low in cands:
-            if low is high or abs(low[1]) > _DUALITY_TOL:
-                continue
-            if abs(low[0] - high[0] ** 2) <= _DUALITY_TOL and high in kept:
-                kept.remove(high)
-    return kept
+def _without_twins(cands: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Drop each (q, alpha = 1) whose twin (q**2, 0), the same distribution,
+    lies in the box, unless that leaves nothing.  A search over the box meets
+    the twin there, and the plain-geometric form wins."""
+    return [c for c in cands if c[1] < 1.0 - _DUALITY_TOL or c[0] ** 2 < Q_BOX[0]] or cands
 
 
 def _solve_matching(residual, alpha_of_q, kind: str) -> tuple[Params, int]:
@@ -310,7 +288,7 @@ def _solve_matching(residual, alpha_of_q, kind: str) -> tuple[Params, int]:
         a = alpha_of_q(q)
         if abs(a) <= 1.0 + _ALPHA_CLAMP:
             candidates.append((q, min(1.0, max(-1.0, a))))
-    candidates = _collapse_duality(candidates)
+    candidates = _without_twins(candidates)
     if not candidates:
         raise EstimationError(
             f"inconsistent {kind}: no admissible (q, alpha) reproduces them"
@@ -337,7 +315,7 @@ def _fit_proportions_full(p0: float, p1: float) -> tuple[Params, int]:
         return (p0 - (1.0 - q)) / (q * (1.0 - q))
 
     def residual(q: float) -> float:
-        return _pmf_formula(q, alpha_of_q(q), 1) - p1
+        return _pmf_at(q, alpha_of_q(q), 1) - p1
 
     return _solve_matching(residual, alpha_of_q, "proportions")
 
@@ -365,7 +343,7 @@ def _fit_quantiles_full(t1: int, p1: float, t2: int, p2: float) -> tuple[Params,
         return (z + p1 - 1.0) / (z * (1.0 - z))
 
     def residual(q: float) -> float:
-        return _cdf_formula(q, alpha_of_q(q), t2) - p2
+        return _cdf_at(q, alpha_of_q(q), t2) - p2
 
     return _solve_matching(residual, alpha_of_q, "quantiles")
 
@@ -388,18 +366,11 @@ def fit_quantiles(t1: int, p1: float, t2: int, p2: float) -> Params:
 # in q taken at (q, alpha_hat(q)).
 
 
-def _mean_raw2(q, a):
-    r1 = q / (1.0 - q)
-    r2 = (q * q) / (1.0 - q * q)
-    fm1 = (1.0 - a) * r1 + a * r2
-    fm2 = 2.0 * ((1.0 - a) * r1 * r1 + a * r2 * r2)
-    return fm1, fm1 + fm2
-
-
 def moment_objective(params: Params, m1: float, m2: float) -> float:
     """(E[Y] - m1)**2 + (E[Y**2] - m2)**2 at the given parameters."""
-    mean, raw2 = _mean_raw2(params.q, params.alpha)
-    return (mean - m1) ** 2 + (raw2 - m2) ** 2
+    q, a = params.q, params.alpha
+    mean = _factorial_moment_at(q, a, 1)
+    return (mean - m1) ** 2 + (mean + _factorial_moment_at(q, a, 2) - m2) ** 2
 
 
 def _log_bracket(q: float, a: float, y: int) -> float:
@@ -471,7 +442,10 @@ def _moment_curve(dataset: Dataset):
 
     def curve(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # both moments are affine in alpha: mean = u0 + a*u1, E[Y**2] = v0 + a*v1
-        (u0, v0), (u_at1, v_at1) = _mean_raw2(qs, 0.0), _mean_raw2(qs, 1.0)
+        # with E[Y**2] = E[Y] + E[Y(Y-1)]
+        u0, u_at1 = _factorial_moment_at(qs, 0.0, 1), _factorial_moment_at(qs, 1.0, 1)
+        v0 = u0 + _factorial_moment_at(qs, 0.0, 2)
+        v_at1 = u_at1 + _factorial_moment_at(qs, 1.0, 2)
         u1, v1 = u_at1 - u0, v_at1 - v0
         a = np.clip(-(u1 * (u0 - m1) + v1 * (v0 - m2)) / (u1 * u1 + v1 * v1), -1.0, 1.0)
         # d/dq of r1 = q/(1-q) and r2 = q**2/(1-q**2), the means at alpha = 0, 1
@@ -507,10 +481,8 @@ def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float
     optima = [i for i, c in enumerate(costs) if c <= min(costs[max(i - 1, 0):i + 2])]
     best = min(costs[i] for i in optima)
     tied = [cands[i] for i in optima if costs[i] <= best + tie_tol(best)]
-    # an alpha = 1 optimum at q is the law of (q**2, 0); when q**2 lies in
-    # the box that law is on the curve, whose own optimum there is at least
-    # as good, so the alpha = 1 copy is no distinct optimum
-    tied = [c for c in tied if c[1] < 1.0 - _DUALITY_TOL or c[0] ** 2 < Q_BOX[0]] or tied
+    # the curve at an alpha = 1 optimum's twin q**2 is at least as good
+    tied = _without_twins(tied)
     tied.sort(key=lambda c: (c[1], c[0]))
     params = Params(*tied[0])
     return _report(params, method, dataset, objective(params), solved + len(points) + iterations,
@@ -550,24 +522,20 @@ def fit_mle(dataset: Dataset) -> FitReport:
 # dataset-driven dispatch (shared with the CLI)
 
 
-def empirical_cdf_anchors(
-    dataset: Dataset, lo: float = 0.25, hi: float = 0.75
-) -> tuple[int, float, int, float]:
+def empirical_cdf_anchors(dataset: Dataset) -> tuple[int, float, int, float]:
     """Default (t1, p1, t2, p2) for the quantile fit: the smallest values at
-    which the empirical cdf reaches ``lo`` and ``hi``, with the empirical cdf
+    which the empirical cdf reaches 1/4 and 3/4, with the empirical cdf
     evaluated there."""
-    total = 0.0
-    t1 = t2 = None
-    p1 = p2 = 0.0
+    total, t1 = 0.0, None
     for y, c in dataset.counts.items():
         total += c
         ecdf = total / dataset.n
-        if t1 is None and ecdf >= lo:
+        if t1 is None and ecdf >= 0.25:
             t1, p1 = y, ecdf
-        if t2 is None and ecdf >= hi:
+        if ecdf >= 0.75:
             t2, p2 = y, ecdf
             break
-    if t1 is None or t2 is None or t1 == t2:
+    if t1 == t2:
         raise EstimationError(
             "sample quantile anchors coincide; choose anchors explicitly"
         )
@@ -597,11 +565,16 @@ def _report(params: Params, method: Method, dataset: Dataset, objective: float,
 def fit(
     dataset: Dataset,
     method: Method | str,
-    quantile_anchors: tuple[int, float, int, float] | None = None,
+    quantile_anchors: tuple[int | None, float | None, int | None, float | None] | None = None,
 ) -> FitReport:
     """Dispatch a dataset to one of the four estimators and wrap the result
-    in a FitReport.  ``quantile_anchors`` overrides the default 25th/75th
-    percentile policy of the quantile method."""
+    in a FitReport.
+
+    ``quantile_anchors`` (t1, p1, t2, p2) sets the quantile method's cdf
+    anchors.  A missing (None) t comes from the 25th/75th percentile scan of
+    :func:`empirical_cdf_anchors`, which runs only then; a missing p is the
+    empirical cdf at its t.
+    """
     method = Method(method)
     if method is Method.MOMENTS:
         return fit_moments(dataset)
@@ -612,15 +585,23 @@ def fit(
         p1 = dataset.counts.get(1, 0.0) / dataset.n
         params, iters = _fit_proportions_full(p0, p1)
         resid = max(
-            abs(_pmf_formula(params.q, params.alpha, 0) - p0),
-            abs(_pmf_formula(params.q, params.alpha, 1) - p1),
+            abs(_pmf_at(params.q, params.alpha, 0) - p0),
+            abs(_pmf_at(params.q, params.alpha, 1) - p1),
         )
         return _report(params, method, dataset, resid, iters)
-    anchors = quantile_anchors or empirical_cdf_anchors(dataset)
-    t1, p1, t2, p2 = anchors
+    t1, p1, t2, p2 = quantile_anchors or (None,) * 4
+    if t1 is None or t2 is None:
+        s1, _, s2, _ = empirical_cdf_anchors(dataset)
+        t1, t2 = (s1 if t1 is None else t1), (s2 if t2 is None else t2)
+
+    def ecdf(t: int) -> float:
+        return sum(c for y, c in dataset.counts.items() if y <= t) / dataset.n
+
+    p1 = ecdf(t1) if p1 is None else p1
+    p2 = ecdf(t2) if p2 is None else p2
     params, iters = _fit_quantiles_full(t1, p1, t2, p2)
     resid = max(
-        abs(_cdf_formula(params.q, params.alpha, t1) - p1),
-        abs(_cdf_formula(params.q, params.alpha, t2) - p2),
+        abs(_cdf_at(params.q, params.alpha, t1) - p1),
+        abs(_cdf_at(params.q, params.alpha, t2) - p2),
     )
     return _report(params, method, dataset, resid, iters)

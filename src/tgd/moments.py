@@ -72,14 +72,19 @@ def factorial_moment(params: Params, r: int) -> float:
     r = operator.index(r)
     if r < 1:
         raise ParameterError(f"factorial moment order must be >= 1, got {r}")
-    q, a = params.q, params.alpha
-    fact = float(math.factorial(r))
-    ratio1 = q / (1.0 - q)
-    ratio2 = (q * q) / (1.0 - q * q)
-    value = (1.0 - a) * fact * ratio1**r + a * fact * ratio2**r
+    value = _factorial_moment_at(params.q, params.alpha, r)
     if math.isinf(value):
         raise OverflowError(f"factorial moment of order {r} exceeds the float range")
     return value
+
+
+def _factorial_moment_at(q, a: float, r: int):
+    # the mixture closed form of the module docstring, unvalidated; q may be
+    # a float or a numpy array
+    fact = float(math.factorial(r))
+    ratio1 = q / (1.0 - q)
+    ratio2 = (q * q) / (1.0 - q * q)
+    return (1.0 - a) * fact * ratio1**r + a * fact * ratio2**r
 
 
 def raw_moment(params: Params, r: int) -> float:
@@ -116,20 +121,31 @@ def factorial_cumulant(params: Params, r: int) -> float:
     return m4 - 4.0 * m3 * m1 - 3.0 * m2 * m2 + 12.0 * m2 * m1 * m1 - 6.0 * m1**4
 
 
+def _ratio(num: float, den: float, what: str) -> float:
+    # a moment ratio whose denominator underflows to 0 (q near 0) is undefined
+    # in floating point; refuse it rather than divide by zero
+    if den == 0.0:
+        raise ParameterError(f"{what} is undefined: its denominator underflows to 0")
+    return num / den
+
+
 def index_of_dispersion(params: Params) -> float:
     """Variance over mean; strictly greater than 1 everywhere on the
-    parameter box (the family is always overdispersed)."""
-    return central_moment(params, 2) / factorial_moment(params, 1)
+    parameter box (the family is always overdispersed).  ParameterError
+    where the mean underflows to 0."""
+    return _ratio(central_moment(params, 2), factorial_moment(params, 1), "index of dispersion")
 
 
 def skewness_beta1(params: Params) -> float:
-    """Pearson moment-ratio skewness mu3**2 / mu2**3 (non-negative)."""
-    return central_moment(params, 3) ** 2 / central_moment(params, 2) ** 3
+    """Pearson moment-ratio skewness mu3**2 / mu2**3 (non-negative).
+    ParameterError where mu2**3 underflows to 0."""
+    return _ratio(central_moment(params, 3) ** 2, central_moment(params, 2) ** 3, "beta1")
 
 
 def kurtosis_beta2(params: Params) -> float:
-    """Pearson kurtosis mu4 / mu2**2."""
-    return central_moment(params, 4) / central_moment(params, 2) ** 2
+    """Pearson kurtosis mu4 / mu2**2.  ParameterError where mu2**2
+    underflows to 0."""
+    return _ratio(central_moment(params, 4), central_moment(params, 2) ** 2, "beta2")
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,11 @@ class MomentSet:
 
 
 def summarize(params: Params) -> MomentSet:
-    """Evaluate the full moment bundle for one parameter pair."""
+    """Evaluate the full moment bundle for one parameter pair.
+
+    Raises ParameterError where a moment ratio is undefined in floating
+    point (q so small that mu2**3 or the mean underflows to 0).
+    """
     mean = factorial_moment(params, 1)
     variance = central_moment(params, 2)
     return MomentSet(
@@ -162,7 +182,7 @@ def summarize(params: Params) -> MomentSet:
         central=tuple(central_moment(params, r) for r in (2, 3, 4)),
         factorial=tuple(factorial_moment(params, r) for r in (1, 2, 3, 4)),
         factorial_cumulant=tuple(factorial_cumulant(params, r) for r in (1, 2, 3, 4)),
-        index_of_dispersion=variance / mean,
+        index_of_dispersion=_ratio(variance, mean, "index of dispersion"),
         beta1=skewness_beta1(params),
         beta2=kurtosis_beta2(params),
     )

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from tgd import fit_quantiles
 from tgd.cli import main
 
 
@@ -158,18 +159,19 @@ class TestFit:
     def test_histogram_csv_input(self, capsys, tmp_path):
         data = tmp_path / "hist.csv"
         data.write_text("value,count\n0,60\n1,25\n2,10\n3,5\n")
-        code, out, _ = run_cli(
-            ["fit", "--input", str(data), "--method", "moments"], capsys
-        )
-        assert code == 0
-        rec = json.loads(out)
-        assert 0.0 < rec["q"] < 1.0 and -1.0 <= rec["alpha"] <= 1.0
         lines = tmp_path / "lines.txt"
         lines.write_text("0\n" * 60 + "1\n" * 25 + "2\n" * 10 + "3\n" * 5)
-        code, out_lines, _ = run_cli(
-            ["fit", "--input", str(lines), "--method", "moments"], capsys
-        )
-        assert code == 0 and out_lines == out
+        for method in ("moments", "mle", "quantiles"):
+            code, out, _ = run_cli(
+                ["fit", "--input", str(data), "--method", method], capsys
+            )
+            assert code == 0
+            rec = json.loads(out)
+            assert 0.0 < rec["q"] < 1.0 and -1.0 <= rec["alpha"] <= 1.0
+            code, out_lines, _ = run_cli(
+                ["fit", "--input", str(lines), "--method", method], capsys
+            )
+            assert code == 0 and out_lines == out, method
 
     @pytest.mark.parametrize("method", ["moments", "mle"])
     def test_histogram_count_is_not_expanded(self, capsys, tmp_path, method):
@@ -203,6 +205,23 @@ class TestFit:
         assert rec["q"] == pytest.approx(0.5, abs=1e-6)
         assert rec["alpha"] == pytest.approx(-0.5, abs=1e-6)
 
+    @pytest.mark.parametrize("anchors, want", [
+        (["--t1", "0", "--t2", "1"], (0, 0.8, 1, 0.96)),
+        (["--t1", "0", "--p1", "0.8", "--t2", "3", "--p2", "0.999"], (0, 0.8, 3, 0.999)),
+    ])
+    def test_given_anchors_skip_the_percentile_scan(self, capsys, tmp_path, anchors, want):
+        # the sample's own quartiles coincide at 0; a missing p is the
+        # empirical cdf at its t
+        data = tmp_path / "d.txt"
+        data.write_text("0\n" * 20 + "1\n" * 4 + "3\n")
+        code, out, err = run_cli(
+            ["fit", "--input", str(data), "--method", "quantiles", *anchors], capsys
+        )
+        assert code == 0, err
+        rec = json.loads(out)
+        expected = fit_quantiles(*want)
+        assert (rec["q"], rec["alpha"]) == (expected.q, expected.alpha)
+
     def test_missing_input_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["fit", "--input", str(tmp_path / "nope.txt"), "--method", "mle"], capsys
@@ -214,6 +233,13 @@ class TestFit:
         data.write_text("0\nbanana\n")
         code, _, err = run_cli(["fit", "--input", str(data), "--method", "mle"], capsys)
         assert code == 2 and err.startswith("error: input:")
+
+    def test_negative_value_exit_2(self, capsys, tmp_path):
+        data = tmp_path / "neg.txt"
+        data.write_text("0\n-3\n1\n")
+        code, out, err = run_cli(["fit", "--input", str(data), "--method", "mle"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: estimation:")
 
     def test_inconsistent_data_exit_2(self, capsys, tmp_path):
         data = tmp_path / "zeros_heavy.txt"
@@ -250,6 +276,11 @@ class TestSummary:
         assert code == 0
         rec = json.loads(out)
         assert rec["audit_max_deviation"] < 1e-9
+
+    def test_underflowing_moment_ratio_exit_2(self, capsys):
+        code, out, err = run_cli(["summary", "--q", "1e-300", "--alpha", "-1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: domain:")
 
 
 class TestHarness:

@@ -3,6 +3,7 @@ quantiles, mode, hazard classification."""
 
 import math
 
+import numpy as np
 import pytest
 
 from tgd import (
@@ -153,11 +154,32 @@ class TestHazard:
             if -1.0 < p.alpha < 1.0 and p.q <= 0.9:
                 assert abs(hazard(p, 200) - (1.0 - p.q)) < 1e-6
 
+    # (q, y) where q**y is subnormal or underflows to 0
+    @pytest.mark.parametrize("q, y", [
+        (0.5, 1074), (0.5, 1100), (0.4394220579490936, 244136509204),
+        (0.9992291711358011, 963056),
+    ])
+    def test_min_case_survives_underflow(self, q, y):
+        assert hazard(Params(q, 1.0), y) == hazard(Params(q * q, 0.0), y)
+
+    def test_min_case_is_geometric_of_q_squared(self):
+        for q in (0.05, 0.3, 0.5, 0.7, 0.95):
+            min_law, twin = Params(q, 1.0), Params(q * q, 0.0)
+            assert all(hazard(min_law, y) == hazard(twin, y) for y in range(2001))
+
 
 class TestReversedHazard:
     def test_unit_at_origin(self, small_grid):
         for p in small_grid:
             assert reversed_hazard(p, 0) == pytest.approx(1.0, abs=1e-14)
+
+    def test_exactly_one_at_origin_for_q_near_one(self):
+        # 1 - q log-spaced on [1e-4, 0.95], and closer to 1, where the
+        # float ratio pmf(0) / cdf(0) rounds above 1 or divides by zero
+        omegas = np.logspace(-4.0, math.log10(0.95), 24).tolist() + [1e-6, 1e-9]
+        for om in omegas:
+            for a in np.linspace(-1.0, 1.0, 9).tolist():
+                assert reversed_hazard(Params(1.0 - om, a), 0) == 1.0
 
     def test_geometric_value(self):
         assert reversed_hazard(Params(0.5, 0.0), 1) == pytest.approx(0.25 / 0.75, abs=1e-15)

@@ -217,6 +217,12 @@ class TestSummarize:
         assert ms.mean == pytest.approx(1.0 / 3.0, rel=1e-13)
         assert ms.index_of_dispersion > 1.0
 
+    @pytest.mark.parametrize("q, alpha", [(1e-300, -1.0), (1e-120, 0.3), (1e-200, 1.0)])
+    def test_underflowing_ratio_is_refused(self, q, alpha):
+        # mu2**3 (or, at alpha = 1, the mean itself) underflows to 0
+        with pytest.raises(ParameterError, match="underflows to 0"):
+            summarize(Params(q, alpha))
+
     def test_falling_factorial_consistency(self, small_grid):
         for p in small_grid:
             for r in (1, 2, 3, 4):
