@@ -17,6 +17,8 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "ParameterError",
     "Params",
@@ -157,8 +159,9 @@ def cdf(params: Params, y: int) -> float:
 
 
 # The closed forms of pmf and cdf at y >= 0, unvalidated: for loops that
-# validated their arguments once, and for the matching fits, which evaluate
-# them at any real alpha during elimination.
+# validated their arguments once, for the matching fits, which evaluate
+# them at any real alpha during elimination, and (cdf, with y an int64
+# array) for the inverse sampler's array pass.
 
 
 def _pmf_at(q: float, a: float, y: int) -> float:
@@ -260,36 +263,98 @@ def pgf(params: Params, z: float) -> float:
     return (1.0 - a) * (1.0 - q) / (1.0 - q * z) + a * (1.0 - q2) / (1.0 - q2 * z)
 
 
-def _quantile_root(params: Params, p: float) -> float:
+def _quantile_root(a, p, sqrt=math.sqrt):
     # Root in (0, 1] of alpha*z**2 + (1-alpha)*z - (1-p) = 0 with z = q**(y+1).
     # The expression 2*(1-p)/(sqrt(disc) + 1 - alpha) is the stable conjugate
     # form of the "+" quadratic root: it is cancellation-free for either sign
     # of alpha and degenerates continuously to the linear solution z = 1 - p
-    # as alpha -> 0.
-    a = params.alpha
+    # as alpha -> 0.  p may be a float or, with sqrt=np.sqrt, an array.
     disc = (1.0 + a) ** 2 - 4.0 * a * p
-    return 2.0 * (1.0 - p) / (math.sqrt(disc) + 1.0 - a)
+    return 2.0 * (1.0 - p) / (sqrt(disc) + 1.0 - a)
+
+
+def _least_reaching(q: float, a: float, y: int, thr: float) -> int:
+    """Smallest y' >= 0 with _cdf_at(q, a, y') >= thr, for 0 < thr < 1,
+    searched from the guess y.
+
+    One step from the guess settles the common case.  Otherwise the step
+    doubles until it brackets the answer, lo < y' <= hi with
+    cdf(lo) < thr <= cdf(hi) (cdf(-1) = 0 < thr), and bisection closes the
+    bracket, so the work is logarithmic in the guess's error and the answer
+    does not depend on the guess.
+    """
+    if _cdf_at(q, a, y) >= thr:
+        if y == 0 or _cdf_at(q, a, y - 1) < thr:
+            return y
+        hi, step = y - 1, 2
+        while (lo := hi - step) >= 0 and _cdf_at(q, a, lo) >= thr:
+            hi, step = lo, 2 * step
+        lo = max(lo, -1)
+    else:
+        if _cdf_at(q, a, y + 1) >= thr:
+            return y + 1
+        lo, step = y + 1, 2
+        while _cdf_at(q, a, hi := lo + step) < thr:
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _cdf_at(q, a, mid) >= thr:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def quantile(params: Params, p: float) -> int:
     """Smallest y >= 0 with cdf(y) >= p, for p in (0, 1).
 
     The closed-form solution of the quadratic in q**(y+1) supplies the
-    starting point; a one-step walk against the cdf pins the exact integer,
-    absorbing the off-by-one the raw floor formula commits whenever the
-    quadratic root is hit exactly.
+    starting point; a search against the cdf (:func:`_least_reaching`) pins
+    the exact integer.  It absorbs the off-by-one the raw floor formula
+    commits whenever the quadratic root is hit exactly, and in few steps
+    the long way down to the hit slack where the pmf is below it.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ParameterError(f"quantile level must lie in (0, 1), got {p!r}")
     q, a = params.q, params.alpha
-    z = _quantile_root(params, p)
-    y = max(0, math.ceil(math.log(z) / math.log(q)) - 1)
     thr = p - min(_HIT_SLACK, 0.5 * p)
-    while _cdf_at(q, a, y) < thr:
-        y += 1
-    while y > 0 and _cdf_at(q, a, y - 1) >= thr:
-        y -= 1
+    y = math.ceil(math.log(_quantile_root(a, thr)) / math.log(q)) - 1
+    return _least_reaching(q, a, y if y > 0 else 0, thr)
+
+
+# numpy's vectorised power may differ from libm's pow by an ulp, which moves
+# a cdf value by a few units of 2**-52.  The array pass settles a lane itself
+# only when the cdf on both sides of its answer clears the level by this
+# much, so that the scalar cdf crosses the level at the same y; any other
+# lane goes through the scalar quantile.
+_ARRAY_MARGIN = 2.0**-44
+
+
+def _quantiles(params: Params, p: np.ndarray) -> np.ndarray:
+    """:func:`quantile` at each level of a float64 array in [0, 1), as
+    int64, with 0 at level 0; unvalidated, for the inverse sampler.
+
+    Equal lane by lane to the scalar quantile: one vectorised step from the
+    closed-form start settles the lanes it can tell apart with
+    ``_ARRAY_MARGIN`` to spare, and the rest (near a jump, or further than
+    one step from the start) run the scalar search.  y is int64 throughout,
+    which counts exactly where a float stops at 2**53.
+    """
+    q, a = params.q, params.alpha
+    thr = p - np.minimum(_HIT_SLACK, 0.5 * p)
+    start = np.ceil(np.log(_quantile_root(a, thr, np.sqrt)) / math.log(q)) - 1.0
+    y = np.maximum(start, 0.0).astype(np.int64)
+    c = _cdf_at(q, a, y)
+    up = c < thr
+    nb = _cdf_at(q, a, np.where(up, y + 1, y - 1))
+    below, at = np.where(up, c, nb), np.where(up, nb, c)
+    y += up
+    settled = (at >= thr + _ARRAY_MARGIN) & ((below < thr - _ARRAY_MARGIN) | (y == 0))
+    zero = p == 0.0
+    y[zero] = 0
+    for i in np.flatnonzero(~(settled | zero)):
+        y[i] = quantile(params, float(p[i]))
     return y
 
 

@@ -525,7 +525,7 @@ def fit_mle(dataset: Dataset) -> FitReport:
 def empirical_cdf_anchors(dataset: Dataset) -> tuple[int, float, int, float]:
     """Default (t1, p1, t2, p2) for the quantile fit: the smallest values at
     which the empirical cdf reaches 1/4 and 3/4, with the empirical cdf
-    evaluated there."""
+    evaluated there.  t1 = t2 when one value holds the middle half."""
     total, t1 = 0.0, None
     for y, c in dataset.counts.items():
         total += c
@@ -535,10 +535,6 @@ def empirical_cdf_anchors(dataset: Dataset) -> tuple[int, float, int, float]:
         if ecdf >= 0.75:
             t2, p2 = y, ecdf
             break
-    if t1 == t2:
-        raise EstimationError(
-            "sample quantile anchors coincide; choose anchors explicitly"
-        )
     return t1, p1, t2, p2
 
 
@@ -573,7 +569,8 @@ def fit(
     ``quantile_anchors`` (t1, p1, t2, p2) sets the quantile method's cdf
     anchors.  A missing (None) t comes from the 25th/75th percentile scan of
     :func:`empirical_cdf_anchors`, which runs only then; a missing p is the
-    empirical cdf at its t.
+    empirical cdf at its t.  The fit is refused when the scan leaves
+    t1 = t2.
     """
     method = Method(method)
     if method is Method.MOMENTS:
@@ -593,6 +590,8 @@ def fit(
     if t1 is None or t2 is None:
         s1, _, s2, _ = empirical_cdf_anchors(dataset)
         t1, t2 = (s1 if t1 is None else t1), (s2 if t2 is None else t2)
+        if t1 == t2:
+            raise EstimationError("sample quantile anchors coincide; choose anchors explicitly")
 
     def ecdf(t: int) -> float:
         return sum(c for y, c in dataset.counts.items() if y <= t) / dataset.n

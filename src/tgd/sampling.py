@@ -4,9 +4,13 @@ Two structurally independent generators are provided so each can validate
 the other:
 
 * ``inverse`` pushes one uniform per draw through the closed-form quantile.
+  ``sample_many`` reads the stream's uniforms in blocks through numpy, which
+  runs the same MT19937 generator, and inverts each block in one array pass;
+  the draws equal those of ``sample_inverse`` one uniform at a time.
 * ``bridge`` exploits the mixture structure of the family: with probability
   1 - |alpha| emit a single geometric variate, otherwise emit the minimum
-  (alpha >= 0) or maximum (alpha < 0) of an independent pair.
+  (alpha >= 0) or maximum (alpha < 0) of an independent pair.  It stays
+  per-draw, as the independent reference.
 
 Streams are single-owner mutable state; run parallel batches on separate
 streams with distinct seeds.
@@ -17,10 +21,15 @@ from __future__ import annotations
 import math
 import operator
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from typing import Iterator
 
-from .core import ParameterError, Params, quantile
+import numpy as np
+
+from .core import ParameterError, Params, _quantiles, quantile
 
 __all__ = [
     "RandomStream",
@@ -29,8 +38,11 @@ __all__ = [
     "sample_inverse",
     "sample_bridge",
     "sample_many",
-    "bridge_cdf",
 ]
+
+# Uniforms per array pass of the inverse sampler: whole 1e5-draw arrays show
+# in peak memory, blocks of this size do not.
+_BLOCK = 8192
 
 
 class RandomStream:
@@ -52,6 +64,29 @@ class RandomStream:
     def uniform(self) -> float:
         """Next uniform variate on [0, 1)."""
         return self._rng.random()
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms as a float64 array, equal to ``n`` calls of
+        :meth:`uniform` and leaving the stream where those calls would."""
+        n = operator.index(n)
+        if n < 0:
+            raise ParameterError(f"n must be a non-negative integer, got {n}")
+        with self._numpy_generator() as mt:
+            return mt.random_sample(n)
+
+    @contextmanager
+    def _numpy_generator(self) -> Iterator[np.random.RandomState]:
+        # numpy's legacy RandomState runs the same MT19937 and forms each
+        # double from two 32-bit outputs as random() does, so the state is
+        # handed to it once and back on exit, after any number of draws.
+        version, internal, gauss_next = self._rng.getstate()
+        mt = np.random.RandomState(0)
+        mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1], 0, 0.0))
+        try:
+            yield mt
+        finally:
+            _, key, pos, _, _ = mt.get_state()
+            self._rng.setstate((version, (*key.tolist(), pos), gauss_next))
 
 
 class SampleMethod(Enum):
@@ -118,24 +153,12 @@ def sample_many(
     method = SampleMethod(method)
     stream = RandomStream(seed)
     if method is SampleMethod.INVERSE:
-        values = tuple(sample_inverse(params, stream.uniform()) for _ in range(n))
+        with stream._numpy_generator() as mt:
+            values = tuple(chain.from_iterable(
+                _quantiles(params, mt.random_sample(min(_BLOCK, n - done))).tolist()
+                for done in range(0, n, _BLOCK)
+            ))
     else:
         values = tuple(sample_bridge(params, stream) for _ in range(n))
     return SampleBatch(values=values, params=params, seed=stream.seed, method=method)
 
-
-def bridge_cdf(params: Params, y: int) -> float:
-    """cdf assembled exactly as the bridge sampler mixes its components.
-
-    For alpha >= 0 this is (1-alpha)*F + alpha*(2F - F**2); for alpha < 0 it
-    is (1+alpha)*F + (-alpha)*F**2, with F the GD(q) cdf.  Agrees with
-    ``tgd.core.cdf`` identically in exact arithmetic.
-    """
-    y = operator.index(y)
-    if y < 0:
-        return 0.0
-    q, a = params.q, params.alpha
-    f = 1.0 - q ** (y + 1)
-    if a >= 0.0:
-        return (1.0 - a) * f + a * (2.0 * f - f * f)
-    return (1.0 + a) * f + (-a) * f * f

@@ -1,4 +1,6 @@
-"""Shared grids for the test suite."""
+"""Shared grids and reference helpers for the test suite."""
+
+import operator
 
 import pytest
 
@@ -27,3 +29,20 @@ def grid() -> list[Params]:
 @pytest.fixture(scope="session")
 def small_grid() -> list[Params]:
     return coarse_grid()
+
+
+def bridge_cdf(params: Params, y: int) -> float:
+    """cdf assembled exactly as the bridge sampler mixes its components.
+
+    For alpha >= 0 this is (1-alpha)*F + alpha*(2F - F**2); for alpha < 0 it
+    is (1+alpha)*F + (-alpha)*F**2, with F the GD(q) cdf.  Agrees with
+    ``tgd.core.cdf`` identically in exact arithmetic.
+    """
+    y = operator.index(y)
+    if y < 0:
+        return 0.0
+    q, a = params.q, params.alpha
+    f = 1.0 - q ** (y + 1)
+    if a >= 0.0:
+        return (1.0 - a) * f + a * (2.0 * f - f * f)
+    return (1.0 + a) * f + (-a) * f * f

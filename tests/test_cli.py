@@ -222,6 +222,18 @@ class TestFit:
         expected = fit_quantiles(*want)
         assert (rec["q"], rec["alpha"]) == (expected.q, expected.alpha)
 
+    def test_one_given_anchor_is_checked_against_the_scan(self, capsys, tmp_path):
+        # the percentile scan's own anchors coincide at 0, but with --t2 1
+        # the fit's anchors are 0 and 1; with --t1 0 they are 0 and 0
+        data = tmp_path / "d.txt"
+        data.write_text("0\n" * 20 + "1\n" * 4 + "3\n")
+        fit = ["fit", "--input", str(data), "--method", "quantiles"]
+        code, out, err = run_cli([*fit, "--t2", "1"], capsys)
+        assert code == 0, err
+        assert run_cli([*fit, "--t1", "0", "--t2", "1"], capsys) == (0, out, "")
+        code, _, err = run_cli([*fit, "--t1", "0"], capsys)
+        assert code == 2 and "anchors coincide" in err
+
     def test_missing_input_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["fit", "--input", str(tmp_path / "nope.txt"), "--method", "mle"], capsys

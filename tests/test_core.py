@@ -2,6 +2,7 @@
 quantiles, mode, hazard classification."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tgd import (
     survival,
     transmuted_exponential_cdf,
 )
+from tgd.core import _least_reaching
 
 
 class TestParams:
@@ -272,6 +274,26 @@ class TestQuantile:
             for k in range(1, 20):
                 p = k / 20
                 assert quantile(params, p) == oracle_quantile(params, p)
+
+    def test_bounded_where_the_hit_slack_exceeds_the_pmf(self):
+        # the answer lies about 2e10 below the closed-form solution at p
+        params, p = Params(1 - 1e-10, -1.0), 1 - 1e-12
+        start = time.perf_counter()
+        y = quantile(params, p)
+        assert time.perf_counter() - start < 0.01
+        assert cdf(params, y) >= p - 1e-12 > cdf(params, y - 1)
+
+    @pytest.mark.parametrize("params, p", [
+        (Params(1 - 1e-10, -1.0), 1 - 1e-12),
+        (Params(1 - 1e-10, 0.4), 0.3),
+        (Params(0.5, 0.5), 0.625),
+        (Params(0.9, -0.5), 0.5),
+    ])
+    def test_search_does_not_depend_on_the_guess(self, params, p):
+        want = quantile(params, p)
+        thr = p - min(1e-12, 0.5 * p)
+        for guess in (0, want // 2, want - 1, want, want + 1, 2 * want + 7, 2**62):
+            assert _least_reaching(params.q, params.alpha, max(guess, 0), thr) == want
 
 
 class TestMedian:

@@ -1,15 +1,19 @@
 """Hypothesis property tests over the whole parameter box."""
 
+from datetime import timedelta
+
 from hypothesis import given, settings, strategies as st
 
+from conftest import bridge_cdf
 from tgd import (
     Params,
-    bridge_cdf,
+    RandomStream,
     cdf,
     from_continuous_rate,
     pmf,
     quantile,
     sample_inverse,
+    sample_many,
     survival,
     transmuted_exponential_cdf,
 )
@@ -58,6 +62,23 @@ def test_quantile_adjunction(q, a, p):
 def test_inverse_sampler_matches_quantile(q, a, u):
     params = Params(q, a)
     assert sample_inverse(params, u) == quantile(params, u)
+
+
+# any q in (0, 1), weighted toward 1 - q down to 1e-15, where draws reach
+# beyond 2**53 and the array pass hands most draws to the scalar search
+open_qs = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=-15.0, max_value=-0.01).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=1))
+@given(open_qs, alphas, st.integers(min_value=0, max_value=2**64 - 1))
+def test_inverse_batch_matches_per_draw(q, a, seed):
+    params = Params(q, a)
+    stream = RandomStream(seed)
+    expected = [sample_inverse(params, stream.uniform()) for _ in range(200)]
+    assert list(sample_many(params, 200, seed).values) == expected
 
 
 @given(qs, alphas, ys)

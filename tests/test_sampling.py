@@ -1,15 +1,17 @@
 """Samplers: stream determinism, inversion, the min/max mixture, batches."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 
+from conftest import bridge_cdf
 from tgd import (
     ParameterError,
     Params,
     RandomStream,
     SampleMethod,
-    bridge_cdf,
     cdf,
     median,
     pmf,
@@ -17,8 +19,13 @@ from tgd import (
     sample_inverse,
     sample_many,
 )
+from tgd.core import _quantiles
+from tgd.sampling import _BLOCK
 
 P55 = Params(0.5, 0.5)
+SEEDS = (0, 1, 2**63, 2**64 - 1)
+# one draw, one block, a block and one, and three blocks and a remainder
+SIZES = (1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
 
 
 def _geom(q: float, u: float) -> int:
@@ -37,6 +44,19 @@ class TestRandomStream:
             u = s.uniform()
             assert 0.0 <= u < 1.0
             assert (u * 2**53) == int(u * 2**53)  # 53-bit lattice
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_continue_the_stream(self, seed):
+        stream, mirror = RandomStream(seed), RandomStream(seed)
+        for n in (0, 1, 5, _BLOCK + 1):
+            u = stream.uniforms(n)
+            assert u.dtype == np.float64
+            assert u.tolist() == [mirror.uniform() for _ in range(n)]
+            assert stream.uniform() == mirror.uniform()
+
+    def test_uniforms_count_validation(self):
+        with pytest.raises(ParameterError):
+            RandomStream(1).uniforms(-1)
 
     def test_seed_validation(self):
         with pytest.raises(ParameterError):
@@ -132,6 +152,49 @@ class TestSampleMany:
         mean = sum(batch.values) / n
         bound = 4.0 * math.sqrt((4.0 / 3.0) / n)
         assert abs(mean - 2.0 / 3.0) <= bound
+
+
+def _replay_inverse(params, n, seed):
+    stream = RandomStream(seed)
+    return [sample_inverse(params, stream.uniform()) for _ in range(n)]
+
+
+# 1 - q log-spaced from 1e-13 to 0.95, and the ends of the q range
+IDENTITY_QS = [1 - 10.0**e for e in np.linspace(-13, math.log10(0.95), 8)] + [1e-300, 1 - 2**-53]
+IDENTITY_ALPHAS = [-1.0, -0.5, 0.0, 0.3, 1.0]
+
+
+class TestInverseBatch:
+    @pytest.mark.parametrize("q", IDENTITY_QS)
+    @pytest.mark.parametrize("a", IDENTITY_ALPHAS)
+    def test_equals_per_draw_inversion(self, q, a):
+        # every case meets each seed and each size once; the pairing of
+        # seeds with sizes rotates from case to case
+        k = IDENTITY_QS.index(q) + IDENTITY_ALPHAS.index(a)
+        params = Params(q, a)
+        for i, seed in enumerate(SEEDS):
+            n = SIZES[(i + k) % len(SIZES)]
+            assert list(sample_many(params, n, seed).values) == _replay_inverse(params, n, seed)
+
+    @pytest.mark.parametrize("q", [0.5, 1 - 1e-13, 1 - 2**-53])
+    def test_array_pass_at_the_ends_of_the_level_range(self, q):
+        params = Params(q, -1.0)
+        u = [0.0, 2**-53, 1e-12, 0.5, 1 - 2**-53]
+        assert _quantiles(params, np.array(u)).tolist() == [sample_inverse(params, v) for v in u]
+
+    def test_values_are_python_ints(self):
+        values = sample_many(P55, 10, 3).values
+        assert type(values) is tuple and {type(v) for v in values} == {int}
+
+    @pytest.mark.parametrize("a", [-1.0, 0.3, 1.0])
+    def test_bounded_next_to_one(self, a):
+        # float y stops counting at 2**53, which the answers here pass
+        params = Params(1 - 2**-53, a)
+        start = time.perf_counter()
+        values = sample_many(params, 10**4, 11).values
+        assert time.perf_counter() - start < 1.0
+        assert max(values) > 2**53
+        assert values[:50] == tuple(_replay_inverse(params, 50, 11))
 
 
 class TestBridgeCdf:
