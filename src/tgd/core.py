@@ -160,18 +160,37 @@ def cdf(params: Params, y: int) -> float:
 
 # The closed forms of pmf and cdf at y >= 0, unvalidated: for loops that
 # validated their arguments once, for the matching fits, which evaluate
-# them at any real alpha during elimination, and (cdf, with y an int64
-# array) for the inverse sampler's array pass.
+# them at any real alpha during elimination (q and alpha arrays, xp=np), and
+# (cdf, with y an int64 array, xp=np) for the inverse sampler's array pass.
+# Where q**k >= 1/2 each is written in w = 1 - q**k so that no two nearly
+# equal terms are subtracted, and nothing cancels as q -> 1.  w comes from
+# expm1 on arrays and, on scalars, where q**k >= 15/16; below that the
+# subtraction 1 - q**k is off by at most 16 ulps of w and costs no log and
+# expm1.  Where q**k < 1/2 the expanded forms cannot cancel, and the cdf's
+# rounds monotonically up to 1.
 
 
-def _pmf_at(q: float, a: float, y: int) -> float:
+def _pmf_at(q, a, y, xp=math):
+    # (1-q)*q**y*((1-alpha) + alpha*q**y*(1+q)), the bracket written as
+    # (1-alpha)*(1 - q**y) + q**y*(1 + alpha*q)
     qy = q**y
-    return (1.0 - q) * qy * ((1.0 - a) + a * qy * (1.0 + q))
+    if xp is math and qy < 0.5:
+        return (1.0 - q) * qy * ((1.0 - a) + a * qy * (1.0 + q))
+    u = 1.0 - qy if xp is math and qy < 0.9375 else -xp.expm1(y * xp.log(q))
+    return (1.0 - q) * qy * ((1.0 - a) * u + qy * (1.0 + a * q))
 
 
-def _cdf_at(q: float, a: float, y: int) -> float:
+def _cdf_at(q, a, y, xp=math):
+    # (1 - z)*(1 + alpha*z) with z = q**(y+1), written as
+    # w*((1 + alpha) - alpha*w) with w = 1 - z
     z = q ** (y + 1)
-    return 1.0 + (a - 1.0) * z - a * z * z
+    if xp is math:
+        if z < 0.5:
+            return 1.0 - z * ((1.0 - a) + a * z)
+        w = 1.0 - z if z < 0.9375 else -math.expm1((y + 1) * math.log(q))
+        return w * ((1.0 + a) - a * w)
+    w = -np.expm1((y + 1) * np.log(q))
+    return np.where(z < 0.5, 1.0 - z * ((1.0 - a) + a * z), w * ((1.0 + a) - a * w))
 
 
 def survival(params: Params, y: int) -> float:
@@ -263,14 +282,14 @@ def pgf(params: Params, z: float) -> float:
     return (1.0 - a) * (1.0 - q) / (1.0 - q * z) + a * (1.0 - q2) / (1.0 - q2 * z)
 
 
-def _quantile_root(a, p, sqrt=math.sqrt):
+def _quantile_root(a, p, xp=math):
     # Root in (0, 1] of alpha*z**2 + (1-alpha)*z - (1-p) = 0 with z = q**(y+1).
     # The expression 2*(1-p)/(sqrt(disc) + 1 - alpha) is the stable conjugate
     # form of the "+" quadratic root: it is cancellation-free for either sign
     # of alpha and degenerates continuously to the linear solution z = 1 - p
-    # as alpha -> 0.  p may be a float or, with sqrt=np.sqrt, an array.
+    # as alpha -> 0.  p may be a float or, with xp=np, an array.
     disc = (1.0 + a) ** 2 - 4.0 * a * p
-    return 2.0 * (1.0 - p) / (sqrt(disc) + 1.0 - a)
+    return 2.0 * (1.0 - p) / (xp.sqrt(disc) + 1.0 - a)
 
 
 def _least_reaching(q: float, a: float, y: int, thr: float) -> int:
@@ -343,11 +362,11 @@ def _quantiles(params: Params, p: np.ndarray) -> np.ndarray:
     """
     q, a = params.q, params.alpha
     thr = p - np.minimum(_HIT_SLACK, 0.5 * p)
-    start = np.ceil(np.log(_quantile_root(a, thr, np.sqrt)) / math.log(q)) - 1.0
+    start = np.ceil(np.log(_quantile_root(a, thr, np)) / math.log(q)) - 1.0
     y = np.maximum(start, 0.0).astype(np.int64)
-    c = _cdf_at(q, a, y)
+    c = _cdf_at(q, a, y, np)
     up = c < thr
-    nb = _cdf_at(q, a, np.where(up, y + 1, y - 1))
+    nb = _cdf_at(q, a, np.where(up, y + 1, y - 1), np)
     below, at = np.where(up, c, nb), np.where(up, nb, c)
     y += up
     settled = (at >= thr + _ARRAY_MARGIN) & ((below < thr - _ARRAY_MARGIN) | (y == 0))
@@ -378,21 +397,15 @@ def is_unimodal(params: Params) -> bool:
 def mode(params: Params) -> int:
     """argmax of the pmf, ties broken toward the smaller y.
 
-    The pmf is a two-term mixture of geometric decays, so once it decreases
-    it never recovers; a forward scan therefore terminates at the mode.  The
-    scan is capped at the point where the whole tail is below double
-    precision, purely as a guard.
+    In x = q**y the pmf is (1-q)*((1-alpha)*x + alpha*(1+q)*x**2), which for
+    alpha < 0 peaks at x* = (alpha-1)/(2*alpha*(1+q)), in (0, 1) whenever
+    the pmf is unimodal.  The integer mode is the floor or the ceiling of
+    y* = log(x*)/log(q); the pmf is compared at one more point on either
+    side, so rounding in y* cannot move the answer.
     """
     if not is_unimodal(params):
         return 0
     q, a = params.q, params.alpha
-    cap = math.ceil(math.log(5e-16) / math.log(q)) + 2
-    y = 0
-    cur = _pmf_at(q, a, 0)
-    while y < cap:
-        nxt = _pmf_at(q, a, y + 1)
-        if nxt <= cur:
-            break
-        cur = nxt
-        y += 1
-    return y
+    y_star = math.log((a - 1.0) / (2.0 * a * (1.0 + q))) / math.log(q)
+    ys = range(max(math.floor(y_star) - 1, 0), math.floor(y_star) + 3)
+    return max(ys, key=lambda y: (_pmf_at(q, a, y), -y))

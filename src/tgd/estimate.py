@@ -9,7 +9,10 @@ Four procedures are implemented:
 
 The first two reduce to one-dimensional root-finding because both defining
 equations are linear in alpha; the last two set alpha to its optimum for each
-q and search q in [1e-6, 1-1e-6] along the resulting profile curve.
+q and find the stationary points of the resulting profile curve.  Either way
+the curve searched is an array function of q, scanned on a grid over
+[1e-6, 1-1e-6] and narrowed by one bracket refiner (false position with the
+Illinois halving) that evaluates it once per pass for every bracket.
 
 Identifiability caveats, handled explicitly rather than silently:
 
@@ -32,7 +35,6 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import Params, _cdf_at, _pmf_at
 from .moments import _factorial_moment_at
@@ -59,6 +61,7 @@ Q_BOX = (1e-6, 1.0 - 1e-6)
 ALPHA_BOX = (-1.0, 1.0)
 _SCAN_PANELS = 1000
 _ROOT_XTOL = 1e-13
+_ROOT_PASSES = 100  # guard on the bracket refiner; bisection alone needs 34
 _ALPHA_CLAMP = 1e-9  # recovered alpha this close to +-1 is clamped, not rejected
 _BOUNDARY_TOL = 1e-9
 _DUALITY_TOL = 1e-6
@@ -158,8 +161,9 @@ class FitReport:
     ``objective`` is the final residual magnitude (matching fits), sum of
     squared moment errors (moments) or log likelihood (mle);
     ``log_likelihood`` is always evaluated at the fitted parameters so
-    methods can be compared.  ``iterations`` counts root-finder iterations,
-    plus for moments and mle the q at which alpha's optimum was solved.
+    methods can be compared.  ``iterations`` counts the q at which the
+    residual or the profile curve was evaluated: the scan nodes, the
+    refinement points and, for moments and mle, the candidate optima.
     ``boundary`` names parameters that ended on the search box edge.  Optima
     tying the best are ordered by increasing alpha: ``params`` is the first
     and ``alternatives`` holds the distribution-distinct rest.
@@ -179,82 +183,102 @@ class FitReport:
 # matching fits: 1-D root finding after eliminating alpha
 
 
-def _derivative_root(residual, lo: float, hi: float) -> float | None:
-    # stationary point of the residual inside (lo, hi), via a bracketed root
-    # of the central-difference derivative; well-conditioned even when the
-    # residual itself has a double root there.  The step balances rounding
-    # against truncation (cube root of double epsilon), clamped so the
-    # stencil stays inside the open unit interval.
-    h = min(6e-6, lo / 2.0)
+def _refine(f, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray) -> list[float]:
+    """One root of the array function ``f`` inside each bracket [lo, hi],
+    where ``f_lo`` and ``f_hi`` have opposite signs: the point of smallest
+    |f| among those evaluated.
 
-    def slope(q: float) -> float:
-        return (residual(q + h) - residual(q - h)) / (2.0 * h)
+    False position with the Illinois halving (Dowell & Jarratt, BIT 11,
+    1971), run on every bracket at once: each pass evaluates ``f`` once, at
+    one point per bracket still wider than ``_ROOT_XTOL``.  A step that
+    leaves its bracket or is not finite falls back to the midpoint, one
+    that lands within ``_ROOT_XTOL / 2`` of an end is held that far inside,
+    and an end kept twice running has its value halved, so both ends close
+    in.  A point where ``f`` is 0 or nan ends its bracket there.
+    """
+    lo, hi, f_lo, f_hi = lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist()
+    best = [(abs(fa), a) if abs(fa) <= abs(fb) else (abs(fb), b)
+            for a, b, fa, fb in zip(lo, hi, f_lo, f_hi)]
+    moved = [0] * len(lo)  # the end the last pass moved: -1 lo, +1 hi
+    live = [i for i in range(len(lo)) if hi[i] - lo[i] > _ROOT_XTOL]
+    for _ in range(_ROOT_PASSES):
+        if not live:
+            break
+        xs = []
+        for i in live:
+            a, b, fa, fb = lo[i], hi[i], f_lo[i], f_hi[i]
+            x = a - fa * (b - a) / (fb - fa)
+            if a <= x <= b:
+                xs.append(min(max(x, a + _ROOT_XTOL / 2), b - _ROOT_XTOL / 2))
+            else:
+                xs.append(0.5 * (a + b))
+        for i, x, fx in zip(live, xs, f(np.array(xs)).tolist()):
+            best[i] = min(best[i], (abs(fx), x))
+            if fx * f_lo[i] > 0.0:
+                if moved[i] == -1:
+                    f_hi[i] *= 0.5
+                lo[i], f_lo[i], moved[i] = x, fx, -1
+            elif fx * f_hi[i] > 0.0:
+                if moved[i] == 1:
+                    f_lo[i] *= 0.5
+                hi[i], f_hi[i], moved[i] = x, fx, 1
+            else:
+                lo[i] = hi[i] = x
+        live = [i for i in live if hi[i] - lo[i] > _ROOT_XTOL]
+    return [x for _, x in best]
 
-    try:
-        s_lo, s_hi = slope(lo), slope(hi)
-        if math.isnan(s_lo) or math.isnan(s_hi) or s_lo * s_hi >= 0.0:
-            return None
-        return float(brentq(slope, lo, hi, xtol=_ROOT_XTOL))
-    except (OverflowError, ZeroDivisionError, ValueError):
-        return None
 
+def _panel_roots(f) -> tuple[list[float], int]:
+    """Sorted roots in ``Q_BOX`` of the array function ``f``, scanned on
+    ``_SCAN_PANELS`` equal panels, and the number of q at which ``f`` was
+    evaluated.  A non-finite value of ``f`` reads as nan."""
+    evaluated = 0
 
-def _panel_roots(residual, qs: np.ndarray, vals: np.ndarray) -> tuple[list[float], int]:
-    """Sorted roots of ``residual`` between the nodes ``qs`` (values ``vals``)."""
-    roots: list[float] = []
-    iterations = 0
-    for i in range(_SCAN_PANELS):
-        va, vb = vals[i], vals[i + 1]
-        if math.isnan(va) or math.isnan(vb):
-            continue
-        if va == 0.0:
-            roots.append(float(qs[i]))
-        elif va * vb < 0.0:
-            q_root, info = brentq(
-                residual, float(qs[i]), float(qs[i + 1]), xtol=_ROOT_XTOL, full_output=True
-            )
-            roots.append(float(q_root))
-            iterations += info.iterations
-    if not math.isnan(vals[-1]) and vals[-1] == 0.0:
-        roots.append(float(qs[-1]))
+    def g(x: np.ndarray) -> np.ndarray:
+        nonlocal evaluated
+        if not len(x):
+            return x
+        evaluated += len(x)
+        with np.errstate(all="ignore"):
+            v = np.asarray(f(x), dtype=float)
+        return np.where(np.isfinite(v), v, np.nan)
+
+    def slope(x: np.ndarray) -> np.ndarray:
+        # central difference; the step balances rounding against truncation
+        # (cube root of double epsilon), clamped so the stencil stays inside
+        # the open unit interval
+        h = np.minimum(6e-6, np.minimum(x, 1.0 - x) / 2.0)
+        v = g(np.concatenate([x + h, x - h]))
+        return (v[:len(x)] - v[len(x):]) / (2.0 * h)
+
+    qs = np.linspace(*Q_BOX, _SCAN_PANELS + 1)
+    vals = g(qs)
+    roots = qs[vals == 0.0].tolist()
+    cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    roots += _refine(g, qs[cross], qs[cross + 1], vals[cross], vals[cross + 1])
 
     # a same-sign dip of the residual toward zero marks either a tangent
     # (double) root or a root pair inside one panel; the plain sign scan sees
-    # neither, so refine the extremum of every such dip
-    for i in range(1, _SCAN_PANELS):
-        va, vm, vb = vals[i - 1], vals[i], vals[i + 1]
-        if math.isnan(va) or math.isnan(vm) or math.isnan(vb) or vm == 0.0:
-            continue
-        if not (abs(vm) < _DIP_TOL and abs(vm) <= abs(va) and abs(vm) <= abs(vb)):
-            continue
-        if va * vm <= 0.0 or vm * vb <= 0.0:
-            continue  # a sign change already covered above
-        sgn = 1.0 if vm > 0.0 else -1.0
-        ext = minimize_scalar(
-            lambda q: sgn * residual(q),
-            bounds=(float(qs[i - 1]), float(qs[i + 1])),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        f_ext = sgn * float(ext.fun)
-        if abs(f_ext) <= _TANGENT_TOL:
-            # tangent (double) root, possibly with a crossing below float
-            # noise; the stationary point locates it far more precisely than
-            # the sqrt-conditioned crossings would
-            q_t = _derivative_root(residual, float(qs[i - 1]), float(qs[i + 1]))
-            roots.append(q_t if q_t is not None else float(ext.x))
-        elif sgn * f_ext < 0.0:
-            # the extremum genuinely crosses zero: two simple roots inside
-            # the panel
-            for lo_b, hi_b in ((float(qs[i - 1]), float(ext.x)), (float(ext.x), float(qs[i + 1]))):
-                try:
-                    q_root, info = brentq(
-                        residual, lo_b, hi_b, xtol=_ROOT_XTOL, full_output=True
-                    )
-                    roots.append(float(q_root))
-                    iterations += info.iterations
-                except ValueError:
-                    pass
+    # neither, so refine the extremum of every such dip: the root of the
+    # slope, well-conditioned even at a double root, or the node itself
+    # where the slope keeps its sign across the window
+    va, vm, vb = vals[:-2], vals[1:-1], vals[2:]
+    dip = (np.abs(vm) < _DIP_TOL) & (np.abs(vm) <= np.abs(va)) & (np.abs(vm) <= np.abs(vb))
+    i = np.flatnonzero(dip & (va * vm > 0.0) & (vm * vb > 0.0)) + 1
+    lo, ext, hi = qs[i - 1], qs[i], qs[i + 1]
+    s_lo, s_hi = np.split(slope(np.concatenate([lo, hi])), 2)
+    turns = s_lo * s_hi < 0.0
+    ext[turns] = _refine(slope, lo[turns], hi[turns], s_lo[turns], s_hi[turns])
+    f_ext = g(ext)
+    # a refined dip this close to zero is a tangent (double) root, possibly
+    # with a crossing below float noise; one that crosses zero holds two
+    # simple roots
+    tangent = np.abs(f_ext) <= _TANGENT_TOL
+    roots += ext[tangent].tolist()
+    j = np.flatnonzero(~tangent & (f_ext * vals[i] < 0.0))
+    roots += _refine(g, np.concatenate([lo[j], ext[j]]), np.concatenate([ext[j], hi[j]]),
+                     np.concatenate([vals[i[j] - 1], f_ext[j]]),
+                     np.concatenate([f_ext[j], vals[i[j] + 1]]))
 
     # collapse duplicated detections of one root (a node evaluating to a few
     # ulps of noise can flip sign twice)
@@ -263,7 +287,7 @@ def _panel_roots(residual, qs: np.ndarray, vals: np.ndarray) -> tuple[list[float
     for q in roots:
         if not deduped or q - deduped[-1] > 1e-7:
             deduped.append(q)
-    return deduped, iterations
+    return deduped, evaluated
 
 
 def _without_twins(cands: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -274,20 +298,13 @@ def _without_twins(cands: list[tuple[float, float]]) -> list[tuple[float, float]
 
 
 def _solve_matching(residual, alpha_of_q, kind: str) -> tuple[Params, int]:
-    # every (q, alpha) solving residual(q) = 0 with admissible alpha
-    qs = np.linspace(*Q_BOX, _SCAN_PANELS + 1)
-    vals = np.empty(_SCAN_PANELS + 1)
-    for i, q in enumerate(qs):
-        try:
-            vals[i] = residual(q)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            vals[i] = math.nan
-    roots, iterations = _panel_roots(residual, qs, vals)
-    candidates = []
-    for q in roots:
-        a = alpha_of_q(q)
-        if abs(a) <= 1.0 + _ALPHA_CLAMP:
-            candidates.append((q, min(1.0, max(-1.0, a))))
+    # every (q, alpha) solving residual(q) = 0 with admissible alpha; both
+    # functions take an array of q
+    roots, evaluated = _panel_roots(residual)
+    with np.errstate(all="ignore"):
+        alphas = alpha_of_q(np.array(roots))
+    candidates = [(q, min(1.0, max(-1.0, float(a))))
+                  for q, a in zip(roots, alphas) if abs(a) <= 1.0 + _ALPHA_CLAMP]
     candidates = _without_twins(candidates)
     if not candidates:
         raise EstimationError(
@@ -301,7 +318,7 @@ def _solve_matching(residual, alpha_of_q, kind: str) -> tuple[Params, int]:
             [Params(q, a) for q, a in ordered],
         )
     q, a = candidates[0]
-    return Params(q, a), iterations
+    return Params(q, a), evaluated
 
 
 def _fit_proportions_full(p0: float, p1: float) -> tuple[Params, int]:
@@ -311,11 +328,11 @@ def _fit_proportions_full(p0: float, p1: float) -> tuple[Params, int]:
     if not p0 + p1 < 1.0:
         raise EstimationError(f"proportions must satisfy p0 + p1 < 1, got {p0 + p1!r}")
 
-    def alpha_of_q(q: float) -> float:
+    def alpha_of_q(q: np.ndarray) -> np.ndarray:
         return (p0 - (1.0 - q)) / (q * (1.0 - q))
 
-    def residual(q: float) -> float:
-        return _pmf_at(q, alpha_of_q(q), 1) - p1
+    def residual(q: np.ndarray) -> np.ndarray:
+        return _pmf_at(q, alpha_of_q(q), 1, np) - p1
 
     return _solve_matching(residual, alpha_of_q, "proportions")
 
@@ -338,12 +355,12 @@ def _fit_quantiles_full(t1: int, p1: float, t2: int, p2: float) -> tuple[Params,
     if not 0.0 < p1 < p2 < 1.0:
         raise EstimationError(f"need 0 < p1 < p2 < 1, got p1={p1!r}, p2={p2!r}")
 
-    def alpha_of_q(q: float) -> float:
-        z = q ** (t1 + 1)
+    def alpha_of_q(q: np.ndarray) -> np.ndarray:
+        z = q ** float(t1 + 1)
         return (z + p1 - 1.0) / (z * (1.0 - z))
 
-    def residual(q: float) -> float:
-        return _cdf_at(q, alpha_of_q(q), t2) - p2
+    def residual(q: np.ndarray) -> np.ndarray:
+        return _cdf_at(q, alpha_of_q(q), t2, np) - p2
 
     return _solve_matching(residual, alpha_of_q, "quantiles")
 
@@ -464,15 +481,7 @@ def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float
     optima are the local minima among the box ends and slope roots."""
     if dataset.n < 2:
         raise EstimationError(f"{method.value} fitting needs a sample of size >= 2")
-    qs = np.linspace(*Q_BOX, _SCAN_PANELS + 1)
-    solved = len(qs)
-
-    def slope(q: float) -> float:
-        nonlocal solved
-        solved += 1
-        return float(curve(np.array([q]))[1][0])
-
-    roots, iterations = _panel_roots(slope, qs, curve(qs)[1])
+    roots, evaluated = _panel_roots(lambda qs: curve(qs)[1])
     points = np.array([Q_BOX[0]] + [q for q in roots if Q_BOX[0] < q < Q_BOX[1]] + [Q_BOX[1]])
     cands = [(float(q), float(a)) for q, a in zip(points, curve(points)[0])]
     costs = [sign * objective(Params(q, a)) for q, a in cands]
@@ -485,7 +494,7 @@ def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float
     tied = _without_twins(tied)
     tied.sort(key=lambda c: (c[1], c[0]))
     params = Params(*tied[0])
-    return _report(params, method, dataset, objective(params), solved + len(points) + iterations,
+    return _report(params, method, dataset, objective(params), evaluated + len(points),
                    tuple(Params(q, a) for q, a in tied[1:]))
 
 

@@ -28,6 +28,7 @@ from tgd import (
     transmuted_exponential_cdf,
 )
 from tgd.core import _least_reaching
+from tgd.oracle import pmf_by_terms
 
 
 class TestParams:
@@ -191,6 +192,14 @@ class TestReversedHazard:
             0.21875 / 0.84375, abs=1e-15
         )
 
+    @pytest.mark.parametrize("q", [1.0 - 1e-7, 1.0 - 1e-9])
+    def test_keeps_its_digits_for_q_near_one(self, q):
+        # at alpha = -1 the ratio pmf(1) / cdf(1) is 1 - 1/(1+q)**2; the
+        # expanded cdf 1 + (a-1)*z - a*z**2 cancels here (0.75060 for
+        # 0.74999997 at 1 - 1e-7, and 0 at 1 - 1e-9)
+        want = 1.0 - 1.0 / (1.0 + q) ** 2
+        assert reversed_hazard(Params(q, -1.0), 1) == pytest.approx(want, rel=1e-12)
+
 
 class TestHazardClass:
     def test_increasing(self):
@@ -325,6 +334,16 @@ class TestModeShape:
         for p in grid:
             if not self._at_exact_threshold(p):
                 assert mode(p) == oracle_mode(p)
+
+    def test_mode_is_bounded_for_q_near_one(self):
+        # the peak sits near y = log(2)/1e-10, about 6.9e9
+        p = Params(1.0 - 1e-10, -1.0)
+        start = time.perf_counter()
+        m = mode(p)
+        assert time.perf_counter() - start < 0.01
+        here = pmf_by_terms(p, m)
+        assert pmf_by_terms(p, m + 1) <= here * (1.0 + 1e-12)
+        assert pmf_by_terms(p, m - 1) <= here * (1.0 + 1e-12)
 
     def test_unimodal_iff_positive_mode(self, grid):
         for p in grid:

@@ -1,8 +1,15 @@
 """Estimation: ingestion, the two matching fits, moment matching, MLE."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+
+import tgd
 
 from tgd import (
     AmbiguousFitError,
@@ -151,6 +158,18 @@ class TestFitQuantiles:
         b = fit_quantiles(0, cdf(truth, 0), 1, cdf(truth, 1))
         assert a.q == pytest.approx(b.q, abs=1e-8)
         assert a.alpha == pytest.approx(b.alpha, abs=1e-8)
+
+    @pytest.mark.parametrize("truth, t1, t2", [
+        (Params(0.9, -0.8), 60, 120),
+        (Params(0.99, -0.5), 300, 900),
+    ])
+    def test_underflowing_anchor_power_warns_nothing(self, truth, t1, t2):
+        # q**(t1 + 1) underflows to 0 over the low end of the scanned q range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = fit_quantiles(t1, cdf(truth, t1), t2, cdf(truth, t2))
+        assert p.q == pytest.approx(truth.q, abs=1e-8)
+        assert p.alpha == pytest.approx(truth.alpha, abs=1e-8)
 
     def test_preconditions(self):
         with pytest.raises(EstimationError):
@@ -312,3 +331,11 @@ class TestFitDispatcher:
         best = max(r.log_likelihood for r in reports)
         mle = next(r for r in reports if r.method is Method.MLE)
         assert mle.log_likelihood == pytest.approx(best, abs=1e-6)
+
+
+def test_import_loads_no_scipy():
+    # the fits solve their own roots; scipy is a test-only dependency
+    code = "import sys, tgd, tgd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(tgd.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
