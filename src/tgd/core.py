@@ -159,9 +159,9 @@ def cdf(params: Params, y: int) -> float:
 
 
 # The closed forms of pmf and cdf at y >= 0, unvalidated: for loops that
-# validated their arguments once, for the matching fits, which evaluate
-# them at any real alpha during elimination (q and alpha arrays, xp=np), and
-# (cdf, with y an int64 array, xp=np) for the inverse sampler's array pass.
+# validated their arguments once, and (cdf, xp=np) for the quantile fit,
+# which evaluates it on q and alpha arrays at any real alpha during
+# elimination, and for the inverse sampler's array pass (y an int64 array).
 # Where q**k >= 1/2 each is written in w = 1 - q**k so that no two nearly
 # equal terms are subtracted, and nothing cancels as q -> 1.  w comes from
 # expm1 on arrays and, on scalars, where q**k >= 15/16; below that the
@@ -170,13 +170,13 @@ def cdf(params: Params, y: int) -> float:
 # rounds monotonically up to 1.
 
 
-def _pmf_at(q, a, y, xp=math):
+def _pmf_at(q, a, y):
     # (1-q)*q**y*((1-alpha) + alpha*q**y*(1+q)), the bracket written as
     # (1-alpha)*(1 - q**y) + q**y*(1 + alpha*q)
     qy = q**y
-    if xp is math and qy < 0.5:
+    if qy < 0.5:
         return (1.0 - q) * qy * ((1.0 - a) + a * qy * (1.0 + q))
-    u = 1.0 - qy if xp is math and qy < 0.9375 else -xp.expm1(y * xp.log(q))
+    u = 1.0 - qy if qy < 0.9375 else -math.expm1(y * math.log(q))
     return (1.0 - q) * qy * ((1.0 - a) * u + qy * (1.0 + a * q))
 
 

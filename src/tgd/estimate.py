@@ -8,11 +8,14 @@ Four procedures are implemented:
 * mle          -- maximize the log likelihood.
 
 The first two reduce to one-dimensional root-finding because both defining
-equations are linear in alpha; the last two set alpha to its optimum for each
-q and find the stationary points of the resulting profile curve.  Either way
-the curve searched is an array function of q, scanned on a grid over
-[1e-6, 1-1e-6] and narrowed by one bracket refiner (false position with the
-Illinois halving) that evaluates it once per pass for every bracket.
+equations are linear in alpha: for proportions what is left is a cubic in
+1 - q, whose turning point splits (0, 1) into two monotone pieces with at
+most one root each.  The last two set alpha to its optimum for each q and
+find the stationary points of the resulting profile curve.  The quantile
+residual and the profile curves are array functions of q, scanned on a grid
+over [1e-6, 1-1e-6].  Every bracket, the cubic's included, is narrowed by
+one refiner (false position with the Illinois halving) that evaluates its
+function once per pass for every bracket.
 
 Identifiability caveats, handled explicitly rather than silently:
 
@@ -163,7 +166,9 @@ class FitReport:
     ``log_likelihood`` is always evaluated at the fitted parameters so
     methods can be compared.  ``iterations`` counts the q at which the
     residual or the profile curve was evaluated: the scan nodes, the
-    refinement points and, for moments and mle, the candidate optima.
+    refinement points and, for moments and mle, the candidate optima.  For
+    proportions it counts the evaluations of the cubic: the box ends, the
+    turning point, the refinement points and one Newton step per root.
     ``boundary`` names parameters that ended on the search box edge.  Optima
     tying the best are ordered by increasing alpha: ``params`` is the first
     and ``alternatives`` holds the distribution-distinct rest.
@@ -297,10 +302,9 @@ def _without_twins(cands: list[tuple[float, float]]) -> list[tuple[float, float]
     return [c for c in cands if c[1] < 1.0 - _DUALITY_TOL or c[0] ** 2 < Q_BOX[0]] or cands
 
 
-def _solve_matching(residual, alpha_of_q, kind: str) -> tuple[Params, int]:
-    # every (q, alpha) solving residual(q) = 0 with admissible alpha; both
-    # functions take an array of q
-    roots, evaluated = _panel_roots(residual)
+def _solve_matching(roots: list[float], evaluated: int, alpha_of_q, kind: str) -> tuple[Params, int]:
+    # every (q, alpha) with q among the roots and admissible alpha;
+    # alpha_of_q takes an array of q
     with np.errstate(all="ignore"):
         alphas = alpha_of_q(np.array(roots))
     candidates = [(q, min(1.0, max(-1.0, float(a))))
@@ -327,22 +331,47 @@ def _fit_proportions_full(p0: float, p1: float) -> tuple[Params, int]:
         raise EstimationError(f"proportions must be positive, got p0={p0!r}, p1={p1!r}")
     if not p0 + p1 < 1.0:
         raise EstimationError(f"proportions must satisfy p0 + p1 < 1, got {p0 + p1!r}")
+    # with s = 1 - q, pmf(0) = p0 gives alpha = (p0 - s)/(s*(1 - s)), and then
+    # pmf(1) = p1 reads f(s) = s**3 - b*s**2 + 3*p0*s - c = 0.  Of the roots
+    # of f', only the smaller one can lie below 1, so f rises up to it and
+    # falls after it: each side holds at most one root.
+    b, c = 2.0 + p0, p0 - p1
+    evaluated = 0
+
+    def cubic(s: np.ndarray) -> np.ndarray:
+        nonlocal evaluated
+        evaluated += len(s)
+        return ((s - b) * s + 3.0 * p0) * s - c
+
+    lo, hi = 1.0 - Q_BOX[1], 1.0 - Q_BOX[0]
+    turn = 3.0 * p0 / (b + math.sqrt((1.0 - p0) * (4.0 - p0)))
+    s = np.array(sorted({lo, min(max(turn, lo), hi), hi}))
+    v = cubic(s)
+    # f within the rounding of its Horner evaluation on the inputs, 7 unit
+    # roundoffs of its terms (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, 5.1), is a root: at the turning point a double one,
+    # at a box end one that may lie a few ulps of q outside
+    zero = np.abs(v) <= 7 * 2.0**-53 * (((s + b) * s + 3.0 * p0) * s + p0 + p1)
+    i = np.flatnonzero((v[:-1] * v[1:] < 0.0) & ~zero[:-1] & ~zero[1:])
+    r = np.array(_refine(cubic, s[i], s[i + 1], v[i], v[i + 1]))
+    # one Newton step takes each root below the refiner's width (Kahan 1986)
+    r = np.clip(r - cubic(r) / ((3.0 * r - 2.0 * b) * r + 3.0 * p0), s[i], s[i + 1])
 
     def alpha_of_q(q: np.ndarray) -> np.ndarray:
         return (p0 - (1.0 - q)) / (q * (1.0 - q))
 
-    def residual(q: np.ndarray) -> np.ndarray:
-        return _pmf_at(q, alpha_of_q(q), 1, np) - p1
-
-    return _solve_matching(residual, alpha_of_q, "proportions")
+    return _solve_matching((1.0 - np.concatenate([s[zero], r])).tolist(), evaluated,
+                           alpha_of_q, "proportions")
 
 
 def fit_proportions(p0: float, p1: float) -> Params:
     """Invert the observed fractions of zeros and ones.
 
     Both defining equations are linear in alpha, so alpha is eliminated via
-    alpha(q) = (p0 - (1 - q)) / (q*(1 - q)) and the remaining equation in q
-    is solved by bracketed root-finding over (0, 1).
+    alpha(q) = (p0 - (1 - q)) / (q*(1 - q)), which leaves a cubic in
+    s = 1 - q.  Its roots in the box are found directly: at most one on each
+    side of its turning point, each refined in its bracket and polished by a
+    Newton step, and a turning point where it vanishes is a double root.
     """
     return _fit_proportions_full(p0, p1)[0]
 
@@ -362,14 +391,16 @@ def _fit_quantiles_full(t1: int, p1: float, t2: int, p2: float) -> tuple[Params,
     def residual(q: np.ndarray) -> np.ndarray:
         return _cdf_at(q, alpha_of_q(q), t2, np) - p2
 
-    return _solve_matching(residual, alpha_of_q, "quantiles")
+    return _solve_matching(*_panel_roots(residual), alpha_of_q, "quantiles")
 
 
 def fit_quantiles(t1: int, p1: float, t2: int, p2: float) -> Params:
     """Invert two cdf observations cdf(t1) = p1, cdf(t2) = p2.
 
     Same alpha-elimination as :func:`fit_proportions`; from the first
-    equation alpha(q) = (z + p1 - 1) / (z*(1 - z)) with z = q**(t1+1).
+    equation alpha(q) = (z + p1 - 1) / (z*(1 - z)) with z = q**(t1+1).  The
+    remaining equation in q is scanned over the box and each sign change
+    refined.
     """
     return _fit_quantiles_full(t1, p1, t2, p2)[0]
 

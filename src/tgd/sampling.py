@@ -52,7 +52,7 @@ class RandomStream:
     yields uniforms on [0, 1) with 53-bit resolution.
     """
 
-    __slots__ = ("seed", "_rng")
+    __slots__ = ("seed", "_rng", "_mt")
 
     def __init__(self, seed: int):
         seed = operator.index(seed)
@@ -60,6 +60,7 @@ class RandomStream:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
+        self._mt: np.random.RandomState | None = None
 
     def uniform(self) -> float:
         """Next uniform variate on [0, 1)."""
@@ -79,8 +80,12 @@ class RandomStream:
         # numpy's legacy RandomState runs the same MT19937 and forms each
         # double from two 32-bit outputs as random() does, so the state is
         # handed to it once and back on exit, after any number of draws.
+        # One RandomState serves the stream: building it costs more than a
+        # handoff, since numpy first seeds it from a SeedSequence.
         version, internal, gauss_next = self._rng.getstate()
-        mt = np.random.RandomState(0)
+        if self._mt is None:
+            self._mt = np.random.RandomState(0)
+        mt = self._mt
         mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1], 0, 0.0))
         try:
             yield mt

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tgd
@@ -31,6 +32,7 @@ from tgd import (
     sample_many,
     tail_bound,
 )
+from tgd.oracle import pmf_by_terms
 
 P55 = Params(0.5, 0.5)
 
@@ -132,6 +134,33 @@ class TestFitProportions:
         for c in cands:  # every candidate reproduces the inputs
             assert pmf(c, 0) == pytest.approx(pmf(truth, 0), abs=1e-9)
             assert pmf(c, 1) == pytest.approx(pmf(truth, 1), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0, 0.3, 0.9])
+    def test_exact_roundtrip_up_to_q_near_one(self, alpha):
+        # the truth comes back, alone or among the candidates, up to
+        # q = 1 - 1e-6, where q itself resolves 1 - q only to about 1e-10
+        for s in np.geomspace(1e-6, 0.95, 40):
+            truth = Params(1.0 - s, alpha)
+            p0, p1 = pmf(truth, 0), pmf(truth, 1)
+            try:
+                cands = [fit_proportions(p0, p1)]
+            except AmbiguousFitError as exc:
+                cands = list(exc.candidates)
+            assert any(abs((1.0 - c.q) - s) <= 1e-8 * s and abs(c.alpha - alpha) <= 1e-8
+                       for c in cands), (s, cands)
+            for c in cands:
+                assert abs(pmf_by_terms(c, 0) - p0) <= 1e-12, (s, c)
+                assert abs(pmf_by_terms(c, 1) - p1) <= 1e-12, (s, c)
+
+    def test_two_pairs_reproduce_q_near_one(self):
+        truth = Params(0.9999, 0.5)
+        with pytest.raises(AmbiguousFitError) as exc:
+            fit_proportions(pmf(truth, 0), pmf(truth, 1))
+        rival, found = exc.value.candidates
+        assert found.q == pytest.approx(0.9999, abs=1e-12)
+        assert found.alpha == pytest.approx(0.5, abs=1e-8)
+        assert rival.q == pytest.approx(0.999875, abs=1e-6)
+        assert rival.alpha == pytest.approx(0.2, abs=1e-4)
 
 
 class TestFitQuantiles:

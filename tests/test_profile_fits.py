@@ -1,7 +1,9 @@
 """Profile-curve fits: pinned misreports of the former multi-start search,
-a brute-force grid guard against a missed optimum, and the criterion-10
-samples held against the values the 81-start Nelder-Mead search reached."""
+a brute-force grid guard against a missed optimum, the criterion-10
+samples held against the values the 81-start Nelder-Mead search reached,
+and the moment fit's rivals held against the exact moment cubic."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -131,3 +133,64 @@ def test_mle_score_underflow_warns_nothing():
     for q in (0.2, 0.5, 0.9, 0.99):
         for a in (-1.0, 0.0, 1.0):
             assert report.objective >= log_likelihood(Params(q, a), ds)
+
+
+# --------------------------------------------------------------------------
+# exact moments: the fit reports every pair the moment cubic admits
+
+
+def moment_cubic_pairs(m1: float, m2: float) -> list[tuple[float, float]]:
+    """Every (q, alpha) in (0, 1) x [-1, 1] with mean m1 and E[Y**2] m2.
+
+    The mean fixes alpha = (m1 - r1)/(r2 - r1), with r1 = q/(1-q) and
+    r2 = q**2/(1-q**2) the means at alpha = 0 and 1; putting it into the
+    second factorial moment f2 = m2 - m1 leaves the cubic
+    (m1(1-q) - q) q (1+2q) = (f2/2)(1-q)**2 (1+q) - q**2 (1+q)."""
+    q = np.polynomial.Polynomial([0.0, 1.0])
+    f2 = m2 - m1
+    cubic = ((m1 * (1 - q) - q) * q * (1 + 2 * q)
+             - (f2 / 2) * (1 - q) ** 2 * (1 + q) + q**2 * (1 + q))
+    pairs = []
+    for root in cubic.roots():
+        x = root.real
+        if abs(root.imag) <= 1e-9 and 0.0 < x < 1.0:
+            r1, r2 = x / (1 - x), x * x / (1 - x * x)
+            a = (m1 - r1) / (r2 - r1)
+            if abs(a) <= 1.0 + 1e-9:
+                pairs.append((x, a))
+    return pairs
+
+
+# truths the fit reports without the rival the cubic admits: the two roots
+# lie within one scan panel (ROADMAP item 2); the last two came from a
+# random draw of truths
+MISSED_RIVALS = [
+    (0.06636255461336732, 0.8965363437814062),
+    (0.7209707082137772, 0.6733973585572905),
+    (0.25913562767537346, 0.7504565074039438),
+    (0.43568564732863135, 0.7037147472112273),
+]
+# a Kronecker sequence over q in [0.05, 0.95] and alpha in [-1, 1]
+MOMENT_TRUTHS = [(0.05 + 0.9 * (i * 0.6180339887498949 % 1.0),
+                  -1.0 + 2.0 * (i * 0.41421356237309515 % 1.0)) for i in range(1, 401)]
+
+
+def _moment_fit_candidates(q: float, a: float) -> tuple[int, int]:
+    truth = Params(q, a)
+    m1, m2 = raw_moment(truth, 1), raw_moment(truth, 2)
+    y_max = tail_bound(truth, Tolerance(1e-12))
+    ds = dataset_from_counts({y: 4.0 * pmf(truth, y) for y in range(y_max + 1)})
+    report = fit_moments(dataclasses.replace(ds, mean=m1, m2=m2))
+    return 1 + len(report.alternatives), len(moment_cubic_pairs(m1, m2))
+
+
+def test_moment_fit_reports_every_exact_preimage():
+    counts = {t: _moment_fit_candidates(*t) for t in MOMENT_TRUTHS if t not in MISSED_RIVALS}
+    assert {t: c for t, c in counts.items() if c[0] != c[1]} == {}
+
+
+@pytest.mark.xfail(strict=True, reason="both roots inside one scan panel (ROADMAP item 2)")
+@pytest.mark.parametrize("truth", MISSED_RIVALS)
+def test_moment_fit_misses_a_rival_inside_one_panel(truth):
+    reported, admitted = _moment_fit_candidates(*truth)
+    assert reported == admitted
