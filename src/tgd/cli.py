@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,11 @@ from .oracle import Tolerance, oracle_mode, oracle_quantile, oracle_sum, pmf_by_
 from .sampling import SampleMethod, sample_many
 
 _NUM = "{:.9g}"
+# the most oracle terms one --audit may sum: eval sums y + 1 of them, and
+# summary runs six scans (four moment sums, median, mode), each about as long
+# as the oracle's tail bound.  The largest admitted audits take under 1 s on
+# a 2-core Xeon host.
+_AUDIT_TERMS = 500_000
 
 
 class _UsageError(Exception):
@@ -106,10 +112,19 @@ def _params(args) -> Params:
     return Params(args.q, args.alpha)
 
 
+def _check_audit_terms(terms: float) -> None:
+    if terms > _AUDIT_TERMS:
+        raise ParameterError(
+            f"--audit would sum about {terms:.3g} oracle terms, over its budget of {_AUDIT_TERMS}"
+        )
+
+
 def _cmd_eval(args) -> str:
     params = _params(args)
     if args.y < 0:
         raise ParameterError(f"y must be >= 0, got {args.y}")
+    if args.audit:
+        _check_audit_terms(args.y + 1)
     record = {
         "pmf": pmf(params, args.y),
         "cdf": cdf(params, args.y),
@@ -229,6 +244,9 @@ def _cmd_fit(args) -> str:
 
 def _cmd_summary(args) -> str:
     params = _params(args)
+    if args.audit:
+        # survival(y) < 2*q**y, so the 1e-15 tail ends before log(5e-16)/log(q)
+        _check_audit_terms(6 * math.log(5e-16) / math.log(params.q))
     ms = summarize(params)
     hc = hazard_class(params)
     record = {

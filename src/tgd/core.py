@@ -129,10 +129,14 @@ def transmuted_exponential_cdf(x: float, beta: float, alpha: float) -> float:
     """cdf of the transmuted exponential with rate ``beta`` and weight ``alpha``.
 
     Continuous counterpart of TGD used by the discretization identity; zero
-    for x <= 0.
+    for x <= 0.  ParameterError for a nan x or an alpha outside [-1, 1].
     """
     if not beta > 0.0:
         raise ParameterError(f"beta must be positive, got {beta!r}")
+    if not -1.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [-1, 1], got {alpha!r}")
+    if math.isnan(x):
+        raise ParameterError(f"x must be a number, got {x!r}")
     if x <= 0.0:
         return 0.0
     g = -math.expm1(-beta * x)

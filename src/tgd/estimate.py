@@ -354,13 +354,21 @@ def _fit_proportions_full(p0: float, p1: float) -> tuple[Params, int]:
     zero = np.abs(v) <= 7 * 2.0**-53 * (((s + b) * s + 3.0 * p0) * s + p0 + p1)
     i = np.flatnonzero((v[:-1] * v[1:] < 0.0) & ~zero[:-1] & ~zero[1:])
     r = np.array(_refine(cubic, s[i], s[i + 1], v[i], v[i + 1]))
-    # one Newton step takes each root below the refiner's width (Kahan 1986)
-    r = np.clip(r - cubic(r) / ((3.0 * r - 2.0 * b) * r + 3.0 * p0), s[i], s[i + 1])
+    # one Newton step takes each root below the refiner's width (Kahan 1986).
+    # Where q < 1/2 the terms of f cancel (s is near 1), so there the step is
+    # taken on the same cubic written in q, g(q) = f(1 - q)
+    # = (1 - p0)(q + q**2) - q**3 - (1 - p0 - p1)
+    in_s, q, d = r <= 0.5, 1.0 - r, 1.0 - p0
+    rs, qs = r[in_s], q[~in_s]
+    evaluated += len(qs)
+    q[in_s] = 1.0 - (rs - cubic(rs) / ((3.0 * rs - 2.0 * b) * rs + 3.0 * p0))
+    q[~in_s] = qs - (((d - qs) * qs + d) * qs - (d - p1)) / ((2.0 * d - 3.0 * qs) * qs + d)
+    q = np.clip(q, 1.0 - s[i + 1], 1.0 - s[i])
 
     def alpha_of_q(q: np.ndarray) -> np.ndarray:
         return (p0 - (1.0 - q)) / (q * (1.0 - q))
 
-    return _solve_matching((1.0 - np.concatenate([s[zero], r])).tolist(), evaluated,
+    return _solve_matching(np.concatenate([1.0 - s[zero], q]).tolist(), evaluated,
                            alpha_of_q, "proportions")
 
 
@@ -515,7 +523,8 @@ def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float
     roots, evaluated = _panel_roots(lambda qs: curve(qs)[1])
     points = np.array([Q_BOX[0]] + [q for q in roots if Q_BOX[0] < q < Q_BOX[1]] + [Q_BOX[1]])
     cands = [(float(q), float(a)) for q, a in zip(points, curve(points)[0])]
-    costs = [sign * objective(Params(q, a)) for q, a in cands]
+    values = [objective(Params(q, a)) for q, a in cands]
+    costs = [sign * v for v in values]
     # the curve is monotone between consecutive candidates, so a candidate
     # is a local minimum when neither neighbour is lower
     optima = [i for i, c in enumerate(costs) if c <= min(costs[max(i - 1, 0):i + 2])]
@@ -524,9 +533,8 @@ def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float
     # the curve at an alpha = 1 optimum's twin q**2 is at least as good
     tied = _without_twins(tied)
     tied.sort(key=lambda c: (c[1], c[0]))
-    params = Params(*tied[0])
-    return _report(params, method, dataset, objective(params), evaluated + len(points),
-                   tuple(Params(q, a) for q, a in tied[1:]))
+    return _report(Params(*tied[0]), method, dataset, dict(zip(cands, values))[tied[0]],
+                   evaluated + len(points), tuple(Params(q, a) for q, a in tied[1:]))
 
 
 def fit_moments(dataset: Dataset) -> FitReport:
@@ -592,7 +600,8 @@ def _report(params: Params, method: Method, dataset: Dataset, objective: float,
         objective=objective,
         converged=not alternatives,
         iterations=iterations,
-        log_likelihood=log_likelihood(params, dataset),
+        # the mle objective is the log likelihood at params
+        log_likelihood=objective if method is Method.MLE else log_likelihood(params, dataset),
         boundary=tuple(boundary),
         alternatives=alternatives,
     )

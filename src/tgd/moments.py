@@ -57,6 +57,9 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
+_STIRLING_ROWS = tuple(tuple(stirling2(r, j) for j in range(1, r + 1)) for r in range(1, 5))
+
+
 def _check_order(r: int, lo: int, what: str) -> int:
     r = operator.index(r)
     if not lo <= r <= _MAX_ORDER:
@@ -87,38 +90,44 @@ def _factorial_moment_at(q, a: float, r: int):
     return (1.0 - a) * fact * ratio1**r + a * fact * ratio2**r
 
 
+def _pipeline(params: Params):
+    # every quantity of orders 1..4 from one evaluation of the closed form per
+    # order (none can overflow: q/(1-q) < 2**53): the factorial, raw, central
+    # (2..4) moments and factorial cumulants, then (numerator, denominator,
+    # name) of the dispersion index, beta1 and beta2
+    q, a = params.q, params.alpha
+    m1, m2, m3, m4 = fact = tuple(_factorial_moment_at(q, a, r) for r in range(1, 5))
+    raw = tuple(sum(s * m for s, m in zip(row, fact)) for row in _STIRLING_ROWS)
+    central = []
+    for r in range(2, 5):  # binomial recentring about the mean
+        total = 0.0
+        for j, raw_j in enumerate((1.0,) + raw[:r]):
+            total += math.comb(r, j) * (-m1) ** (r - j) * raw_j
+        central.append(total)
+    mu2, mu3, mu4 = central
+    cumulant = (m1, m2 - m1 * m1, m3 - 3.0 * m2 * m1 + 2.0 * m1**3,
+                m4 - 4.0 * m3 * m1 - 3.0 * m2 * m2 + 12.0 * m2 * m1 * m1 - 6.0 * m1**4)
+    shapes = ((mu2, m1, "index of dispersion"), (mu3**2, mu2**3, "beta1"), (mu4, mu2**2, "beta2"))
+    return fact, raw, tuple(central), cumulant, shapes
+
+
 def raw_moment(params: Params, r: int) -> float:
     """r-th raw moment E[Y**r] for r in 1..4, via Stirling conversion."""
     r = _check_order(r, 1, "raw moment")
-    return sum(stirling2(r, j) * factorial_moment(params, j) for j in range(1, r + 1))
+    return _pipeline(params)[1][r - 1]
 
 
 def central_moment(params: Params, r: int) -> float:
     """r-th central moment E[(Y - E[Y])**r] for r in 2..4."""
     r = _check_order(r, 2, "central moment")
-    mean = factorial_moment(params, 1)
-    total = 0.0
-    for j in range(r + 1):
-        raw_j = 1.0 if j == 0 else raw_moment(params, j)
-        total += math.comb(r, j) * (-mean) ** (r - j) * raw_j
-    return total
+    return _pipeline(params)[2][r - 2]
 
 
 def factorial_cumulant(params: Params, r: int) -> float:
     """r-th factorial cumulant for r in 1..4, converted from the factorial
     moments by the standard moment-to-cumulant relations."""
     r = _check_order(r, 1, "factorial cumulant")
-    m1 = factorial_moment(params, 1)
-    if r == 1:
-        return m1
-    m2 = factorial_moment(params, 2)
-    if r == 2:
-        return m2 - m1 * m1
-    m3 = factorial_moment(params, 3)
-    if r == 3:
-        return m3 - 3.0 * m2 * m1 + 2.0 * m1**3
-    m4 = factorial_moment(params, 4)
-    return m4 - 4.0 * m3 * m1 - 3.0 * m2 * m2 + 12.0 * m2 * m1 * m1 - 6.0 * m1**4
+    return _pipeline(params)[3][r - 1]
 
 
 def _ratio(num: float, den: float, what: str) -> float:
@@ -133,19 +142,19 @@ def index_of_dispersion(params: Params) -> float:
     """Variance over mean; strictly greater than 1 everywhere on the
     parameter box (the family is always overdispersed).  ParameterError
     where the mean underflows to 0."""
-    return _ratio(central_moment(params, 2), factorial_moment(params, 1), "index of dispersion")
+    return _ratio(*_pipeline(params)[4][0])
 
 
 def skewness_beta1(params: Params) -> float:
     """Pearson moment-ratio skewness mu3**2 / mu2**3 (non-negative).
     ParameterError where mu2**3 underflows to 0."""
-    return _ratio(central_moment(params, 3) ** 2, central_moment(params, 2) ** 3, "beta1")
+    return _ratio(*_pipeline(params)[4][1])
 
 
 def kurtosis_beta2(params: Params) -> float:
     """Pearson kurtosis mu4 / mu2**2.  ParameterError where mu2**2
     underflows to 0."""
-    return _ratio(central_moment(params, 4), central_moment(params, 2) ** 2, "beta2")
+    return _ratio(*_pipeline(params)[4][2])
 
 
 @dataclass(frozen=True)
@@ -173,16 +182,5 @@ def summarize(params: Params) -> MomentSet:
     Raises ParameterError where a moment ratio is undefined in floating
     point (q so small that mu2**3 or the mean underflows to 0).
     """
-    mean = factorial_moment(params, 1)
-    variance = central_moment(params, 2)
-    return MomentSet(
-        mean=mean,
-        variance=variance,
-        raw=tuple(raw_moment(params, r) for r in (1, 2, 3, 4)),
-        central=tuple(central_moment(params, r) for r in (2, 3, 4)),
-        factorial=tuple(factorial_moment(params, r) for r in (1, 2, 3, 4)),
-        factorial_cumulant=tuple(factorial_cumulant(params, r) for r in (1, 2, 3, 4)),
-        index_of_dispersion=_ratio(variance, mean, "index of dispersion"),
-        beta1=skewness_beta1(params),
-        beta2=kurtosis_beta2(params),
-    )
+    fact, raw, central, cumulant, shapes = _pipeline(params)
+    return MomentSet(fact[0], central[0], raw, central, fact, cumulant, *(_ratio(*s) for s in shapes))

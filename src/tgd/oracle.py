@@ -1,11 +1,12 @@
 """Brute-force reference implementations: truncated sums and linear scans.
 
-Nothing here reuses the closed forms under test.  The mass function is
-re-evaluated term by term as the plain two-component sum
-(1-alpha)*q**y*(1-q) + alpha*q**(2y)*(1-q**2), cdf values are built by
-cumulative summation, and the mode by exhaustive scan, so agreement with
-:mod:`tgd.core` and :mod:`tgd.moments` is genuine cross-validation rather
-than shared code.  Everything is O(tail length) by design.
+Every summed term is the mass function re-evaluated as the literal
+two-component sum (1-alpha)*q**y*(1-q) + alpha*q**(2y)*(1-q**2), cdf values
+are built by cumulative summation, and the mode by exhaustive scan, so
+agreement with :mod:`tgd.core` and :mod:`tgd.moments` is genuine
+cross-validation rather than shared code.  Only the truncation point is not:
+:func:`tail_bound`, and through it every :func:`oracle_sum` cut-off, comes
+from :func:`tgd.core.survival`.  Everything is O(tail length) by design.
 """
 
 from __future__ import annotations

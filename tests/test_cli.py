@@ -6,7 +6,7 @@ import time
 import pytest
 
 from tgd import fit_quantiles
-from tgd.cli import main
+from tgd.cli import _AUDIT_TERMS, main
 
 
 def run_cli(argv, capsys):
@@ -41,6 +41,16 @@ class TestEval:
         )
         assert code == 0
         assert json.loads(out)["audit_max_deviation"] < 1e-12
+
+    def test_audit_over_budget_refused_at_once(self, capsys):
+        # y + 1 oracle terms, far past the audit budget
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["eval", "--q", "0.5", "--alpha", "0.5", "--y", str(2**62), "--audit"], capsys
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: domain:") and str(_AUDIT_TERMS) in err
 
     def test_domain_error_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -288,6 +298,16 @@ class TestSummary:
         assert code == 0
         rec = json.loads(out)
         assert rec["audit_max_deviation"] < 1e-9
+
+    def test_audit_over_budget_refused_at_once(self, capsys):
+        # the oracle's tail at q = 1 - 1e-6 is about 3.5e7 terms long
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["summary", "--q", repr(1.0 - 1e-6), "--alpha", "0.3", "--audit"], capsys
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: domain:") and str(_AUDIT_TERMS) in err
 
     def test_underflowing_moment_ratio_exit_2(self, capsys):
         code, out, err = run_cli(["summary", "--q", "1e-300", "--alpha", "-1"], capsys)

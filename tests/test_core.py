@@ -74,6 +74,18 @@ class TestFromContinuousRate:
         with pytest.raises(ParameterError, match="beta"):
             from_continuous_rate(beta, 0.0)
 
+    @pytest.mark.parametrize("x, alpha, match", [
+        (1.0, 5.0, "alpha"),
+        (1.0, -3.0, "alpha"),
+        (1.0, float("nan"), "alpha"),
+        (float("nan"), 0.5, "x"),
+    ])
+    def test_continuous_cdf_domain(self, x, alpha, match):
+        # alpha = 5 or -3 would put the cdf outside [0, 1]; nan would pass
+        # through silently
+        with pytest.raises(ParameterError, match=match):
+            transmuted_exponential_cdf(x, 1.0, alpha)
+
 
 class TestPmf:
     def test_geometric_case(self):

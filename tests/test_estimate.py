@@ -152,6 +152,16 @@ class TestFitProportions:
                 assert abs(pmf_by_terms(c, 0) - p0) <= 1e-12, (s, c)
                 assert abs(pmf_by_terms(c, 1) - p1) <= 1e-12, (s, c)
 
+    @pytest.mark.parametrize("q, bound", [(0.05, 1e-15), (1e-3, 1e-13)])
+    def test_exact_roundtrip_at_small_q(self, q, bound):
+        # the Newton polish runs on the cubic in q where q < 1/2, since the
+        # cubic in 1 - q cancels there
+        truth = Params(q, -1.0)
+        p0, p1 = pmf(truth, 0), pmf(truth, 1)
+        c = fit_proportions(p0, p1)
+        assert c.q == pytest.approx(q, rel=1e-10)
+        assert max(abs(pmf(c, 0) - p0), abs(pmf(c, 1) - p1)) <= bound
+
     def test_two_pairs_reproduce_q_near_one(self):
         truth = Params(0.9999, 0.5)
         with pytest.raises(AmbiguousFitError) as exc:

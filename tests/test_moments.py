@@ -223,6 +223,33 @@ class TestSummarize:
         with pytest.raises(ParameterError, match="underflows to 0"):
             summarize(Params(q, alpha))
 
+    def test_evaluates_each_factorial_moment_once(self, monkeypatch):
+        # the closed form runs once per order; raw, central, cumulant and
+        # shape values all derive from those four numbers
+        from tgd import moments
+
+        orders = []
+        closed_form = moments._factorial_moment_at
+
+        def counted(q, a, r):
+            orders.append(r)
+            return closed_form(q, a, r)
+
+        monkeypatch.setattr(moments, "_factorial_moment_at", counted)
+        summarize(P55)
+        assert sorted(orders) == [1, 2, 3, 4]
+
+    def test_fields_equal_the_per_order_functions(self, grid):
+        for p in grid:
+            ms = summarize(p)
+            assert ms.mean == factorial_moment(p, 1) and ms.variance == central_moment(p, 2)
+            assert ms.factorial == tuple(factorial_moment(p, r) for r in (1, 2, 3, 4))
+            assert ms.raw == tuple(raw_moment(p, r) for r in (1, 2, 3, 4))
+            assert ms.central == tuple(central_moment(p, r) for r in (2, 3, 4))
+            assert ms.factorial_cumulant == tuple(factorial_cumulant(p, r) for r in (1, 2, 3, 4))
+            assert ms.index_of_dispersion == index_of_dispersion(p)
+            assert (ms.beta1, ms.beta2) == (skewness_beta1(p), kurtosis_beta2(p))
+
     def test_falling_factorial_consistency(self, small_grid):
         for p in small_grid:
             for r in (1, 2, 3, 4):
