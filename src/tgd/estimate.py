@@ -131,22 +131,34 @@ def ingest(values: Iterable[int]) -> Dataset:
 
 
 def dataset_from_counts(counts: Mapping[int, float]) -> Dataset:
-    """Build a dataset from a value -> count map; counts may be fractional."""
+    """Build a dataset from a value -> count map; counts may be fractional.
+
+    Non-finite counts, and data whose count total, mean or second moment
+    overflow a float, are refused rather than carried as inf or nan.
+    """
     clean: dict[int, float] = {}
     for value, count in counts.items():
         iv = operator.index(value)
-        c = float(count)
         if iv < 0:
             raise EstimationError(f"negative value {value!r} in counts")
-        if not c >= 0.0:
-            raise EstimationError(f"count for value {value!r} must be >= 0, got {count!r}")
+        try:
+            c = float(count)
+        except OverflowError:
+            c = math.inf
+        if not 0.0 <= c < math.inf:
+            raise EstimationError(f"count for value {value!r} must be finite and >= 0, got {c!r}")
         if c > 0.0:
             clean[iv] = clean.get(iv, 0.0) + c
     if not clean:
         raise EstimationError("counts hold no mass")
-    n = math.fsum(clean.values())
-    mean = math.fsum(y * c for y, c in clean.items()) / n
-    m2 = math.fsum(y * y * c for y, c in clean.items()) / n
+    try:
+        n = math.fsum(clean.values())
+        mean = math.fsum(y * c for y, c in clean.items()) / n
+        m2 = math.fsum(y * y * c for y, c in clean.items()) / n
+    except OverflowError:
+        n = mean = m2 = math.inf
+    if not all(map(math.isfinite, (n, mean, m2))):
+        raise EstimationError("the count total, mean or second moment of the data overflows a float")
     return Dataset(counts=dict(sorted(clean.items())), n=n, mean=mean, m2=m2)
 
 

@@ -4,9 +4,10 @@ Two structurally independent generators are provided so each can validate
 the other:
 
 * ``inverse`` pushes one uniform per draw through the closed-form quantile.
-  ``sample_many`` reads the stream's uniforms in blocks through numpy, which
-  runs the same MT19937 generator, and inverts each block in one array pass;
-  the draws equal those of ``sample_inverse`` one uniform at a time.
+  ``sample_many`` reads the stream's uniforms in blocks, each built in one
+  numpy pass from the stream's own MT19937 words, and inverts each block in
+  one array pass; the draws equal those of ``sample_inverse`` one uniform at
+  a time.
 * ``bridge`` exploits the mixture structure of the family: with probability
   1 - |alpha| emit a single geometric variate, otherwise emit the minimum
   (alpha >= 0) or maximum (alpha < 0) of an independent pair.  It stays
@@ -21,11 +22,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterator
 
 import numpy as np
 
@@ -49,10 +48,11 @@ class RandomStream:
     """Seedable uniform source: same seed, same sequence.
 
     Backed by the standard library Mersenne Twister, whose ``random()``
-    yields uniforms on [0, 1) with 53-bit resolution.
+    yields uniforms on [0, 1) with 53-bit resolution; it is the stream's
+    only generator, for single draws and blocks alike.
     """
 
-    __slots__ = ("seed", "_rng", "_mt")
+    __slots__ = ("seed", "_rng")
 
     def __init__(self, seed: int):
         seed = operator.index(seed)
@@ -60,7 +60,6 @@ class RandomStream:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
-        self._mt: np.random.RandomState | None = None
 
     def uniform(self) -> float:
         """Next uniform variate on [0, 1)."""
@@ -68,30 +67,17 @@ class RandomStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next ``n`` uniforms as a float64 array, equal to ``n`` calls of
-        :meth:`uniform` and leaving the stream where those calls would."""
+        :meth:`uniform` and leaving the stream where those calls would.
+
+        ``getrandbits(64 * n)`` holds the next 2n 32-bit outputs, the first
+        in the lowest word, and ``random()`` forms each double from a pair
+        (a, b) as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, exactly in float64.
+        """
         n = operator.index(n)
         if n < 0:
             raise ParameterError(f"n must be a non-negative integer, got {n}")
-        with self._numpy_generator() as mt:
-            return mt.random_sample(n)
-
-    @contextmanager
-    def _numpy_generator(self) -> Iterator[np.random.RandomState]:
-        # numpy's legacy RandomState runs the same MT19937 and forms each
-        # double from two 32-bit outputs as random() does, so the state is
-        # handed to it once and back on exit, after any number of draws.
-        # One RandomState serves the stream: building it costs more than a
-        # handoff, since numpy first seeds it from a SeedSequence.
-        version, internal, gauss_next = self._rng.getstate()
-        if self._mt is None:
-            self._mt = np.random.RandomState(0)
-        mt = self._mt
-        mt.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1], 0, 0.0))
-        try:
-            yield mt
-        finally:
-            _, key, pos, _, _ = mt.get_state()
-            self._rng.setstate((version, (*key.tolist(), pos), gauss_next))
+        words = np.frombuffer(self._rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+        return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
 class SampleMethod(Enum):
@@ -158,11 +144,10 @@ def sample_many(
     method = SampleMethod(method)
     stream = RandomStream(seed)
     if method is SampleMethod.INVERSE:
-        with stream._numpy_generator() as mt:
-            values = tuple(chain.from_iterable(
-                _quantiles(params, mt.random_sample(min(_BLOCK, n - done))).tolist()
-                for done in range(0, n, _BLOCK)
-            ))
+        values = tuple(chain.from_iterable(
+            _quantiles(params, stream.uniforms(min(_BLOCK, n - done))).tolist()
+            for done in range(0, n, _BLOCK)
+        ))
     else:
         values = tuple(sample_bridge(params, stream) for _ in range(n))
     return SampleBatch(values=values, params=params, seed=stream.seed, method=method)

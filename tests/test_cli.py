@@ -263,6 +263,17 @@ class TestFit:
         assert code == 2 and out == ""
         assert err.startswith("error: estimation:")
 
+    @pytest.mark.parametrize("name, text", [
+        ("hist.csv", f"value,count\n0,5\n1,{10**400}\n"),  # float(count) overflows
+        ("lines.txt", f"0\n1\n{2 * 10**154}\n"),  # y * y overflows
+    ], ids=["huge-count", "huge-value"])
+    def test_overflowing_data_exit_2(self, capsys, tmp_path, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        code, out, err = run_cli(["fit", "--input", str(data), "--method", "mle"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: estimation:") and err.count("\n") == 1
+
     def test_inconsistent_data_exit_2(self, capsys, tmp_path):
         data = tmp_path / "zeros_heavy.txt"
         data.write_text("\n".join(["0"] * 98 + ["50"] * 2) + "\n")

@@ -87,6 +87,20 @@ class TestDatasetFromCounts:
         with pytest.raises(EstimationError):
             dataset_from_counts({0: 0.0})
 
+    @pytest.mark.parametrize("counts", [
+        {0: math.inf, 1: 1.0},  # once accepted with n = inf, mean = nan
+        {0: 1, 1: 10**400},  # float(count) overflows
+        {0: 1, 10**200: 1},  # the second moment overflows
+        {0: math.nan},
+    ], ids=["inf-count", "huge-count", "huge-value", "nan-count"])
+    def test_overflowing_data_refused(self, counts):
+        with pytest.raises(EstimationError):
+            dataset_from_counts(counts)
+
+    def test_values_up_to_2_63(self):
+        ds = dataset_from_counts({0: 1, 2**63: 3})
+        assert ds.n == 4.0 and ds.mean == 0.75 * 2.0**63 and ds.m2 == 0.75 * 2.0**126
+
 
 class TestFitProportions:
     def test_interior_roundtrip(self):

@@ -54,6 +54,21 @@ class TestRandomStream:
             assert u.tolist() == [mirror.uniform() for _ in range(n)]
             assert stream.uniform() == mirror.uniform()
 
+    def test_one_generator_per_stream(self, monkeypatch):
+        # blocks come from the stream's own Mersenne Twister: with numpy's
+        # RandomState out of reach, both block readers still replay the
+        # per-draw stream across a block boundary
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.random.RandomState was built")
+
+        monkeypatch.setattr(np.random, "RandomState", refuse)
+        for seed in SEEDS:
+            for n in (_BLOCK - 1, _BLOCK + 1):
+                stream, mirror = RandomStream(seed), RandomStream(seed)
+                assert stream.uniforms(n).tolist() == [mirror.uniform() for _ in range(n)]
+                assert stream._rng.getstate() == mirror._rng.getstate()
+                assert list(sample_many(P55, n, seed).values) == _replay_inverse(P55, n, seed)
+
     def test_uniforms_count_validation(self):
         with pytest.raises(ParameterError):
             RandomStream(1).uniforms(-1)
