@@ -162,10 +162,12 @@ def cdf(params: Params, y: int) -> float:
     return _clamp_unit(_cdf_at(params.q, params.alpha, y), "cdf")
 
 
-# The closed forms of pmf and cdf at y >= 0, unvalidated: for loops that
-# validated their arguments once, and (cdf, xp=np) for the quantile fit,
-# which evaluates it on q and alpha arrays at any real alpha during
-# elimination, and for the inverse sampler's array pass (y an int64 array).
+# The closed forms of pmf, cdf and survival at y >= 0, unvalidated: for
+# loops that validated their arguments once; (cdf, xp=np) for the quantile
+# fit, which evaluates it on q and alpha arrays at any real alpha during
+# elimination, and for the inverse sampler's array pass (y an int64 array);
+# survival, at an integer or a float64 array of y, for the oracle's tail
+# bound and cut-off walk.
 # Where q**k >= 1/2 each is written in w = 1 - q**k so that no two nearly
 # equal terms are subtracted, and nothing cancels as q -> 1.  w comes from
 # expm1 on arrays and, on scalars, where q**k >= 15/16; below that the
@@ -197,6 +199,13 @@ def _cdf_at(q, a, y, xp=math):
     return np.where(z < 0.5, 1.0 - z * ((1.0 - a) + a * z), w * ((1.0 + a) - a * w))
 
 
+def _survival_at(q, a, y):
+    # (1-alpha)*z + alpha*z**2 with z = q**y; nothing cancels, since for
+    # alpha < 0 the sum is at least z and neither term exceeds 2*z
+    z = q**y
+    return (1.0 - a) * z + a * z * z
+
+
 def survival(params: Params, y: int) -> float:
     """Inclusive tail P(Y >= y); identically 1 for y <= 0.
 
@@ -205,9 +214,7 @@ def survival(params: Params, y: int) -> float:
     y = _as_integer(y)
     if y <= 0:
         return 1.0
-    q, a = params.q, params.alpha
-    z = q**y
-    return _clamp_unit((1.0 - a) * z + a * z * z, "survival")
+    return _clamp_unit(_survival_at(params.q, params.alpha, y), "survival")
 
 
 def hazard(params: Params, y: int) -> float:

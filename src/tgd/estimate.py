@@ -504,8 +504,8 @@ def _score_root(p: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return x
 
 
-def _moment_curve(dataset: Dataset):
-    """qs -> (alpha_hat, slope of the profile moment objective over (1+m2)**2)."""
+def _moment_curve(dataset: Dataset, scale: float):
+    """qs -> (alpha_hat, slope of the profile moment objective over scale)."""
     m1, m2 = dataset.mean, dataset.m2
 
     def curve(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -521,7 +521,7 @@ def _moment_curve(dataset: Dataset):
         mean_dq = d1 + a * (d2 - d1)
         raw2_dq = mean_dq + 4.0 * ((1.0 - a) * u0 * d1 + a * u_at1 * d2)
         slope = (u0 + a * u1 - m1) * mean_dq + (v0 + a * v1 - m2) * raw2_dq
-        return a, 2.0 * slope / (1.0 + m2) ** 2
+        return a, 2.0 * slope / scale
 
     return curve
 
@@ -556,13 +556,23 @@ def fit_moments(dataset: Dataset) -> FitReport:
     least-squares value clipped to [-1, 1].  ``converged`` is false when a
     distribution-distinct parameter pair matches the data equally well (the
     fold region of the moment map); the rivals are in ``alternatives``.
+    Data whose squared second moment overflows a float are refused.
     """
     m1, m2 = dataset.mean, dataset.m2
+    # the objective squares residuals as large as m2, so past m2 = 1.3e154
+    # (far beyond data of the admitted domain, y < 2**63) it cannot be formed
+    try:
+        scale = (1.0 + m2) ** 2
+    except OverflowError:
+        raise EstimationError(
+            f"moment fitting squares the second moment of the data ({m2:.3g}), "
+            "which overflows a float"
+        ) from None
     # a rival ties within the rounding floor, which scales like the squared
     # data magnitude, or within relative noise of a non-zero best
-    return _fit_profile(_moment_curve(dataset), dataset, Method.MOMENTS,
+    return _fit_profile(_moment_curve(dataset, scale), dataset, Method.MOMENTS,
                         lambda p: moment_objective(p, m1, m2), 1.0,
-                        lambda best: max(3e-20 * (1.0 + m2) ** 2, 1e-6 * best))
+                        lambda best: max(3e-20 * scale, 1e-6 * best))
 
 
 def fit_mle(dataset: Dataset) -> FitReport:

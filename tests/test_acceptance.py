@@ -139,11 +139,11 @@ def test_criterion_05_moment_pipeline(grid):
         mean = factorial_moment(p, 1)
         checks = []
         for r in (1, 2, 3, 4):
-            oracle_fm = oracle_sum(
-                p, lambda y, r=r: math.prod(range(y - r + 1, y + 1)) if y >= r else 0
-            )
+            # weights act on float64 arrays of support points; a falling
+            # factorial y(y-1)...(y-r+1) has a zero factor wherever y < r
+            oracle_fm = oracle_sum(p, lambda y, r=r: math.prod(y - k for k in range(r)))
             checks.append((factorial_moment(p, r), oracle_fm))
-            checks.append((raw_moment(p, r), oracle_sum(p, lambda y, r=r: float(y) ** r)))
+            checks.append((raw_moment(p, r), oracle_sum(p, lambda y, r=r: y**r)))
         mu = {
             r: oracle_sum(p, lambda y, r=r, m=mean: (y - m) ** r) for r in (2, 3, 4)
         }

@@ -42,6 +42,15 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["audit_max_deviation"] < 1e-12
 
+    def test_long_audit_is_one_block_pass(self, capsys):
+        # 400001 oracle terms, near the audit budget, summed in numpy blocks
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["eval", "--q", "0.9995", "--alpha", "0.3", "--y", "400000", "--audit"], capsys
+        )
+        assert time.perf_counter() - start < 0.1
+        assert code == 0 and json.loads(out)["audit_max_deviation"] < 1e-12
+
     def test_audit_over_budget_refused_at_once(self, capsys):
         # y + 1 oracle terms, far past the audit budget
         start = time.perf_counter()
@@ -271,6 +280,14 @@ class TestFit:
         data = tmp_path / name
         data.write_text(text)
         code, out, err = run_cli(["fit", "--input", str(data), "--method", "mle"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: estimation:") and err.count("\n") == 1
+
+    def test_moment_fit_of_an_overflowing_square_exit_2(self, capsys, tmp_path):
+        # m2 = 3.3e155 is a float, but the moment objective squares it
+        data = tmp_path / "lines.txt"
+        data.write_text(f"0\n1\n{10**78}\n")
+        code, out, err = run_cli(["fit", "--input", str(data), "--method", "moments"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: estimation:") and err.count("\n") == 1
 
