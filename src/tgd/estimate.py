@@ -11,11 +11,13 @@ The first two reduce to one-dimensional root-finding because both defining
 equations are linear in alpha: for proportions what is left is a cubic in
 1 - q, whose turning point splits (0, 1) into two monotone pieces with at
 most one root each.  The last two set alpha to its optimum for each q and
-find the stationary points of the resulting profile curve.  The quantile
-residual and the profile curves are array functions of q, scanned on a grid
-over [1e-6, 1-1e-6].  Every bracket, the cubic's included, is narrowed by
-one refiner (false position with the Illinois halving) that evaluates its
-function once per pass for every bracket.
+find the stationary points of the resulting profile curve.  For moments
+these are in closed form: in t = q/(1 - q) they are roots of four
+polynomials, found as eigenvalues, with no scan.  The quantile residual and
+the likelihood's profile slope are array functions of q, scanned on a grid
+over [1e-6, 1-1e-6].  Every bracket, the proportions cubic's included, is
+narrowed by one refiner (false position with the Illinois halving) that
+evaluates its function once per pass for every bracket.
 
 Identifiability caveats, handled explicitly rather than silently:
 
@@ -177,10 +179,12 @@ class FitReport:
     squared moment errors (moments) or log likelihood (mle);
     ``log_likelihood`` is always evaluated at the fitted parameters so
     methods can be compared.  ``iterations`` counts the q at which the
-    residual or the profile curve was evaluated: the scan nodes, the
-    refinement points and, for moments and mle, the candidate optima.  For
-    proportions it counts the evaluations of the cubic: the box ends, the
-    turning point, the refinement points and one Newton step per root.
+    residual or the profile curve was evaluated: for quantiles and mle the
+    scan nodes and the refinement points, and for mle also the candidate
+    optima.  For moments it counts the candidates: the box ends and the
+    polynomial roots in the box.  For proportions it counts the evaluations
+    of the cubic: the box ends, the turning point, the refinement points and
+    one Newton step per root.
     ``boundary`` names parameters that ended on the search box edge.  Optima
     tying the best are ordered by increasing alpha: ``params`` is the first
     and ``alternatives`` holds the distribution-distinct rest.
@@ -271,7 +275,8 @@ def _panel_roots(f) -> tuple[list[float], int]:
     qs = np.linspace(*Q_BOX, _SCAN_PANELS + 1)
     vals = g(qs)
     roots = qs[vals == 0.0].tolist()
-    cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    # signs are compared, not products, which can overflow; nan has none
+    cross = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
     roots += _refine(g, qs[cross], qs[cross + 1], vals[cross], vals[cross + 1])
 
     # a same-sign dip of the residual toward zero marks either a tangent
@@ -281,10 +286,10 @@ def _panel_roots(f) -> tuple[list[float], int]:
     # where the slope keeps its sign across the window
     va, vm, vb = vals[:-2], vals[1:-1], vals[2:]
     dip = (np.abs(vm) < _DIP_TOL) & (np.abs(vm) <= np.abs(va)) & (np.abs(vm) <= np.abs(vb))
-    i = np.flatnonzero(dip & (va * vm > 0.0) & (vm * vb > 0.0)) + 1
+    i = np.flatnonzero(dip & (np.sign(va) * np.sign(vm) > 0.0) & (np.sign(vm) * np.sign(vb) > 0.0)) + 1
     lo, ext, hi = qs[i - 1], qs[i], qs[i + 1]
     s_lo, s_hi = np.split(slope(np.concatenate([lo, hi])), 2)
-    turns = s_lo * s_hi < 0.0
+    turns = np.sign(s_lo) * np.sign(s_hi) < 0.0
     ext[turns] = _refine(slope, lo[turns], hi[turns], s_lo[turns], s_hi[turns])
     f_ext = g(ext)
     # a refined dip this close to zero is a tangent (double) root, possibly
@@ -292,19 +297,21 @@ def _panel_roots(f) -> tuple[list[float], int]:
     # simple roots
     tangent = np.abs(f_ext) <= _TANGENT_TOL
     roots += ext[tangent].tolist()
-    j = np.flatnonzero(~tangent & (f_ext * vals[i] < 0.0))
+    j = np.flatnonzero(~tangent & (np.sign(f_ext) * np.sign(vals[i]) < 0.0))
     roots += _refine(g, np.concatenate([lo[j], ext[j]]), np.concatenate([ext[j], hi[j]]),
                      np.concatenate([vals[i[j] - 1], f_ext[j]]),
                      np.concatenate([f_ext[j], vals[i[j] + 1]]))
 
     # collapse duplicated detections of one root (a node evaluating to a few
     # ulps of noise can flip sign twice)
-    roots.sort()
-    deduped: list[float] = []
-    for q in roots:
-        if not deduped or q - deduped[-1] > 1e-7:
-            deduped.append(q)
-    return deduped, evaluated
+    return _distinct(roots, atol=1e-7), evaluated
+
+
+def _distinct(qs, atol: float = 0.0, rtol: float = 0.0) -> list[float]:
+    """qs in increasing order, each dropped that lies within atol + rtol*q
+    of the one before it."""
+    qs = sorted(qs)
+    return [q for i, q in enumerate(qs) if i == 0 or q - qs[i - 1] > atol + rtol * q]
 
 
 def _without_twins(cands: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -441,29 +448,29 @@ def moment_objective(params: Params, m1: float, m2: float) -> float:
     return (mean - m1) ** 2 + (mean + _factorial_moment_at(q, a, 2) - m2) ** 2
 
 
-def _log_bracket(q: float, a: float, y: int) -> float:
-    # log of (1-alpha) + alpha*q**y*(1+q); at alpha == 1 the bracket is a
-    # pure power whose log is formed directly so large y cannot underflow it.
-    if a == 1.0:
-        return y * math.log(q) + math.log1p(q)
-    return math.log((1.0 - a) + a * q**y * (1.0 + q))
+def _weights(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values as floats and their shares of the counts."""
+    return (np.fromiter(dataset.counts, float, len(dataset.counts)),
+            np.fromiter(dataset.counts.values(), float, len(dataset.counts)) / dataset.n)
 
 
 def log_likelihood(params: Params, dataset: Dataset) -> float:
     """Count-weighted log likelihood in the factored form
-    n*log(1-q) + n*ybar*log(q) + sum log[(1-alpha) + alpha*q**y*(1+q)].
+    n*(log(1-q) + ybar*log(q) + sum w*log[(1-alpha) + alpha*p]), with
+    p = q**y*(1+q) and w the share of the counts at y, in the array form of
+    the profile curve.  At alpha = 1 the bracket is p, whose log is formed
+    directly so that large y cannot underflow it.
     """
     q, a = params.q, params.alpha
-    total = dataset.n * math.log1p(-q) + dataset.n * dataset.mean * math.log(q)
-    for y, c in dataset.counts.items():
-        total += c * _log_bracket(q, a, y)
-    return total
+    ys, ws = _weights(dataset)
+    log_p = ys * math.log(q) + math.log1p(q)  # p = q**y*(1+q)
+    log_bracket = log_p if a == 1.0 else np.log((1.0 - a) + a * np.exp(log_p))
+    return dataset.n * (math.log1p(-q) + dataset.mean * math.log(q) + float((ws * log_bracket).sum()))
 
 
 def _likelihood_curve(dataset: Dataset):
     """qs -> (alpha_hat, slope of the profile log likelihood over n)."""
-    ys = np.array(list(dataset.counts), dtype=float)
-    ws = np.array(list(dataset.counts.values())) / dataset.n
+    ys, ws = _weights(dataset)
 
     def curve(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         col = qs[:, None]
@@ -504,37 +511,71 @@ def _score_root(p: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return x
 
 
-def _moment_curve(dataset: Dataset, scale: float):
-    """qs -> (alpha_hat, slope of the profile moment objective over scale)."""
-    m1, m2 = dataset.mean, dataset.m2
+def _moment_stationary_qs(m1: float, m2: float) -> list[float]:
+    """Every q in the box where the profile moment objective is stationary,
+    in increasing order.
 
-    def curve(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # both moments are affine in alpha: mean = u0 + a*u1, E[Y**2] = v0 + a*v1
-        # with E[Y**2] = E[Y] + E[Y(Y-1)]
-        u0, u_at1 = _factorial_moment_at(qs, 0.0, 1), _factorial_moment_at(qs, 1.0, 1)
-        v0 = u0 + _factorial_moment_at(qs, 0.0, 2)
-        v_at1 = u_at1 + _factorial_moment_at(qs, 1.0, 2)
-        u1, v1 = u_at1 - u0, v_at1 - v0
-        a = np.clip(-(u1 * (u0 - m1) + v1 * (v0 - m2)) / (u1 * u1 + v1 * v1), -1.0, 1.0)
-        # d/dq of r1 = q/(1-q) and r2 = q**2/(1-q**2), the means at alpha = 0, 1
-        d1, d2 = 1.0 / (1.0 - qs) ** 2, 2.0 * qs / (1.0 - qs * qs) ** 2
-        mean_dq = d1 + a * (d2 - d1)
-        raw2_dq = mean_dq + 4.0 * ((1.0 - a) * u0 * d1 + a * u_at1 * d2)
-        slope = (u0 + a * u1 - m1) * mean_dq + (v0 + a * v1 - m2) * raw2_dq
-        return a, 2.0 * slope / scale
+    In t = q/(1 - q) the residual (mean - m1, E[Y**2] - m2) at alpha = 0 is
+    (t - m1, t + 2t**2 - m2), and alpha moves it along (1, e) with
+    e = (6t**2 + 4t + 1)/(1 + 2t).  So inside the alpha box the objective is
+    proportional to c**2/N, with the cubic c(t) = t**3 - 3*m1*t**2
+    + (f2 - m1)*t + f2/2 (f2 = m2 - m1), whose roots are the exact
+    preimages, and N = (1 + 2t)**2 + (6t**2 + 4t + 1)**2: it is stationary at
+    the roots of c and of the sextic 2c'N - cN'.  On an edge alpha = +-1 it
+    is F/(1 + 2t)**4 with F of degree 8, stationary where F'(1 + 2t) - 8F
+    vanishes.  A root counts where alpha_hat lies on its piece of the
+    profile.  The polynomials are written in s = t*h, with 1/h the root mean
+    square of the data (at least 1), so that no coefficient exceeds O(1).
+    """
+    h = 1.0 / max(1.0, math.sqrt(m2))
+    conv, g = np.convolve, np.array([1.0, h, 0.0])  # t(1 + t)*h**2
+    lin, quad = np.array([2.0, h]), np.array([6.0, 4.0 * h, h * h])  # (1 + 2t)*h, (6t**2 + 4t + 1)*h**2
+    sq, r1, r2 = conv(lin, lin), np.array([1.0, -m1 * h]), np.array([2.0, h, -m2 * h * h])
+    cubic = np.polysub(conv(r1, quad), conv(r2, lin))  # 2c
+    norm = np.polyadd(h * h * sq, conv(quad, quad))
+    polys = [cubic, np.polysub(2.0 * conv(np.polyder(cubic), norm), conv(cubic, np.polyder(norm)))]
+    for a in (-1.0, 1.0):
+        # the residuals times (1 + 2t)*h**2 and ((1 + 2t)*h**2)**2
+        mean, raw2 = conv(r1, lin) - a * g, conv(r2, sq) - a * conv(g, quad)
+        f = np.polyadd(h * h * conv(conv(mean, mean), sq), conv(raw2, raw2))
+        polys.append(np.polysub(conv(np.polyder(f), lin), 8.0 * f))
+    # the roots are the eigenvalues of the companion matrices, which stack
+    # once each polynomial is padded with zero roots to degree 8
+    coef = np.array([np.append(p, np.zeros(9 - len(p))) for p in polys])
+    comp = np.tile(np.eye(8, k=-1), (len(polys), 1, 1))
+    comp[:, 0] = -coef[:, 1:] / coef[:, :1]
+    r = np.linalg.eigvals(comp)
+    rows, cols = np.nonzero((r.imag == 0.0) & (r.real > 0.0))
+    s, coef = r.real[rows, cols], coef[rows]
+    # one Newton step on each real root, kept where it does not raise |p|
+    v, dv = np.polyval(coef.T, s), np.polyval((coef[:, :-1] * np.arange(8, 0, -1)).T, s)
+    step = s - np.divide(v, dv, out=np.zeros_like(s), where=dv != 0.0)
+    t = np.where(np.abs(np.polyval(coef.T, step)) <= np.abs(v), step, s) / h
+    q = t / (1.0 + t)
+    inside = (Q_BOX[0] < q) & (q < Q_BOX[1])
+    q, edge = q[inside], np.array([0.0, 0.0, -1.0, 1.0])[rows[inside]]
+    a = _moment_alpha(q, m1, m2)
+    on_piece = np.where(edge == 0.0, np.abs(a) <= 1.0 + _ALPHA_CLAMP, edge * a >= 1.0 - _ALPHA_CLAMP)
+    return _distinct(q[on_piece], rtol=1e-12)  # roots this close are one
 
-    return curve
+
+def _moment_alpha(qs: np.ndarray, m1: float, m2: float) -> np.ndarray:
+    """The least-squares alpha at each q, not clipped to [-1, 1]."""
+    t = qs / (1.0 - qs)
+    e = ((6.0 * t + 4.0) * t + 1.0) / (1.0 + 2.0 * t)
+    return (1.0 + 2.0 * t) * ((t - m1) + e * ((1.0 + 2.0 * t) * t - m2)) / (t * (1.0 + t) * (1.0 + e * e))
 
 
-def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float,
-                 tie_tol) -> FitReport:
-    """Minimise ``sign * objective`` along the profile curve: its distinct
-    optima are the local minima among the box ends and slope roots."""
+def _fit_profile(roots: list[float], evaluated: int, alpha_of_q, dataset: Dataset, method: Method,
+                 objective, sign: float, tie_tol) -> FitReport:
+    """Minimise ``sign * objective`` along a profile curve whose stationary
+    points in the box lie among ``roots``, with alpha at ``alpha_of_q`` (an
+    array function of q): its distinct optima are the local minima among the
+    box ends and those roots."""
     if dataset.n < 2:
         raise EstimationError(f"{method.value} fitting needs a sample of size >= 2")
-    roots, evaluated = _panel_roots(lambda qs: curve(qs)[1])
     points = np.array([Q_BOX[0]] + [q for q in roots if Q_BOX[0] < q < Q_BOX[1]] + [Q_BOX[1]])
-    cands = [(float(q), float(a)) for q, a in zip(points, curve(points)[0])]
+    cands = [(float(q), float(a)) for q, a in zip(points, alpha_of_q(points))]
     values = [objective(Params(q, a)) for q, a in cands]
     costs = [sign * v for v in values]
     # the curve is monotone between consecutive candidates, so a candidate
@@ -552,8 +593,10 @@ def _fit_profile(curve, dataset: Dataset, method: Method, objective, sign: float
 def fit_moments(dataset: Dataset) -> FitReport:
     """Least-squares moment matching of (mean, second raw moment).
 
-    Searches q along the profile objective, with alpha at its closed-form
-    least-squares value clipped to [-1, 1].  ``converged`` is false when a
+    The candidates are the box ends and the real roots of four polynomials
+    in the mean coordinate t = q/(1 - q) (see :func:`_moment_stationary_qs`),
+    each with alpha at its closed-form least-squares value clipped to
+    [-1, 1]; no grid is scanned.  ``converged`` is false when a
     distribution-distinct parameter pair matches the data equally well (the
     fold region of the moment map); the rivals are in ``alternatives``.
     Data whose squared second moment overflows a float are refused.
@@ -570,7 +613,8 @@ def fit_moments(dataset: Dataset) -> FitReport:
         ) from None
     # a rival ties within the rounding floor, which scales like the squared
     # data magnitude, or within relative noise of a non-zero best
-    return _fit_profile(_moment_curve(dataset, scale), dataset, Method.MOMENTS,
+    return _fit_profile(_moment_stationary_qs(m1, m2), 0,
+                        lambda qs: np.clip(_moment_alpha(qs, m1, m2), -1.0, 1.0), dataset, Method.MOMENTS,
                         lambda p: moment_objective(p, m1, m2), 1.0,
                         lambda best: max(3e-20 * scale, 1e-6 * best))
 
@@ -580,11 +624,13 @@ def fit_mle(dataset: Dataset) -> FitReport:
     likelihood.
 
     Searches q along the profile log likelihood, with alpha at the root on
-    [-1, 1] of its monotone score.  Same convergence reporting as
+    [-1, 1] of its monotone score: the slope of the profile is scanned over
+    the box and each sign change refined.  Same convergence reporting as
     :func:`fit_moments`.
     """
-    return _fit_profile(_likelihood_curve(dataset), dataset, Method.MLE,
-                        lambda p: log_likelihood(p, dataset), -1.0,
+    curve = _likelihood_curve(dataset)
+    return _fit_profile(*_panel_roots(lambda qs: curve(qs)[1]), lambda qs: curve(qs)[0], dataset,
+                        Method.MLE, lambda p: log_likelihood(p, dataset), -1.0,
                         lambda best: 1e-9 * (1.0 + abs(best)))
 
 
@@ -592,20 +638,21 @@ def fit_mle(dataset: Dataset) -> FitReport:
 # dataset-driven dispatch (shared with the CLI)
 
 
+def _ecdf(dataset: Dataset) -> tuple[list[int], list[float]]:
+    """The distinct values in increasing order, and the empirical cdf below
+    the first of them and at each, from one running sum over the counts:
+    the cdf at t is ``cdf[number of values <= t]``."""
+    counts = np.fromiter(dataset.counts.values(), float, len(dataset.counts))
+    return list(dataset.counts), [0.0] + (np.cumsum(counts) / dataset.n).tolist()
+
+
 def empirical_cdf_anchors(dataset: Dataset) -> tuple[int, float, int, float]:
     """Default (t1, p1, t2, p2) for the quantile fit: the smallest values at
     which the empirical cdf reaches 1/4 and 3/4, with the empirical cdf
     evaluated there.  t1 = t2 when one value holds the middle half."""
-    total, t1 = 0.0, None
-    for y, c in dataset.counts.items():
-        total += c
-        ecdf = total / dataset.n
-        if t1 is None and ecdf >= 0.25:
-            t1, p1 = y, ecdf
-        if ecdf >= 0.75:
-            t2, p2 = y, ecdf
-            break
-    return t1, p1, t2, p2
+    ys, cdf = _ecdf(dataset)
+    i1, i2 = (next(i for i, p in enumerate(cdf) if p >= level) for level in (0.25, 0.75))
+    return ys[i1 - 1], cdf[i1], ys[i2 - 1], cdf[i2]
 
 
 def _report(params: Params, method: Method, dataset: Dataset, objective: float,
@@ -664,11 +711,9 @@ def fit(
         if t1 == t2:
             raise EstimationError("sample quantile anchors coincide; choose anchors explicitly")
 
-    def ecdf(t: int) -> float:
-        return sum(c for y, c in dataset.counts.items() if y <= t) / dataset.n
-
-    p1 = ecdf(t1) if p1 is None else p1
-    p2 = ecdf(t2) if p2 is None else p2
+    ys, cdf = _ecdf(dataset)
+    p1 = cdf[sum(y <= t1 for y in ys)] if p1 is None else p1
+    p2 = cdf[sum(y <= t2 for y in ys)] if p2 is None else p2
     params, iters = _fit_quantiles_full(t1, p1, t2, p2)
     resid = max(
         abs(_cdf_at(params.q, params.alpha, t1) - p1),

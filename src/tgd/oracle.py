@@ -118,11 +118,13 @@ def oracle_sum(
     ``weight(ys) * pmf_by_terms(params, ys)``, summed by :func:`math.fsum`
     block by block, and the block sums are joined by :func:`math.fsum`.
 
-    The cut-off from :func:`tail_bound` is pushed out to the first y with
-    |weight(y)| * survival(y) below eps.  Where the sum is below 1 in
-    magnitude, it is pushed out once more against eps times that magnitude,
-    so the truncation error is small relative to the result even when the
-    result itself is tiny.
+    The cut-off from :func:`tail_bound` is pushed out to the first y at
+    which |weight| * survival is below eps and does not rise to y + 1, so
+    that the bound holds from y onward, not only at y: a zero of the weight
+    is no cut-off when the weight is non-zero after it.  Where the sum is
+    below 1 in magnitude, it is pushed out once more against eps times that
+    magnitude, so the truncation error is small relative to the result even
+    when the result itself is tiny.
     """
     eps = _eps(tol)
     q, a = params.q, params.alpha
@@ -133,9 +135,14 @@ def oracle_sum(
         # stretch about as long as the bound, so the walk takes blocks of
         # that length
         for ys in _blocks(y, _SCAN_CAP, min(_BLOCK, y + 1)):
-            under = np.abs(weight(ys)) * _survival_at(q, a, ys) < threshold
-            if under.any():
-                return int(ys[under.argmax()])
+            ext = np.append(ys, ys[-1] + 1.0)
+            tail = np.abs(weight(ext)) * _survival_at(q, a, ext)
+            # the bound holds from y onward once the weighted tail is below
+            # the threshold and no longer rising; past a zero of the weight
+            # it rises again
+            holds = (tail[:-1] < threshold) & (tail[1:] <= tail[:-1])
+            if holds.any():
+                return int(ys[holds.argmax()])
         return max(y, _SCAN_CAP)
 
     def block_sums(start: int, stop: int) -> list[float]:

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tgd
 from tgd import fit_quantiles
 from tgd.cli import _AUDIT_TERMS, main
 
@@ -282,6 +287,16 @@ class TestFit:
         code, out, err = run_cli(["fit", "--input", str(data), "--method", "mle"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: estimation:") and err.count("\n") == 1
+
+    def test_mle_fit_of_a_huge_value_writes_no_warning(self, tmp_path):
+        # a fresh interpreter, so that numpy's warnings reach its stderr
+        data = tmp_path / "lines.txt"
+        data.write_text(f"0\n1\n{10**152}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(tgd.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-m", "tgd.cli", "fit", "--input", str(data), "--method", "mle"],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0 and out.stderr == ""
+        assert json.loads(out.stdout)["boundary"] == ["q"]
 
     def test_moment_fit_of_an_overflowing_square_exit_2(self, capsys, tmp_path):
         # m2 = 3.3e155 is a float, but the moment objective squares it

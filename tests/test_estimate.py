@@ -387,8 +387,10 @@ class TestFitDispatcher:
 
 
 def test_import_loads_no_scipy():
-    # the fits solve their own roots; scipy is a test-only dependency
-    code = "import sys, tgd, tgd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the fits solve their own roots; scipy is a test-only dependency, and
+    # numpy.polynomial alone would add milliseconds to every import
+    code = ("import sys, tgd, tgd.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))")
     env = dict(os.environ, PYTHONPATH=str(Path(tgd.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -48,9 +48,12 @@ def scalar_tail_bound(params, eps):
 
 
 def scalar_sum(params, weight, eps):
+    def tail(y):
+        return abs(weight(y)) * survival(params, y)
+
     def cutoff(threshold):
         y = scalar_tail_bound(params, min(threshold, 0.5))
-        while abs(weight(y)) * survival(params, y) >= threshold:
+        while not (tail(y) < threshold and tail(y + 1) <= tail(y)):
             y += 1
         return y
 
@@ -163,6 +166,13 @@ class TestOracleSum:
         for p in grid:
             total = oracle_sum(p, lambda y: 1.0, Tolerance(1e-12))
             assert 1.0 - 1e-12 <= total <= 1.0 + 1e-13
+
+    def test_a_zero_of_the_weight_is_no_cut_off(self):
+        # the tail bound at eps 0.5 is y = 1, where y*(y - 1) vanishes while
+        # the weighted tail beyond it holds all of the second factorial
+        # moment, 0.1935
+        got = oracle_sum(Params(0.3, 0.5), lambda y: y * (y - 1), Tolerance(0.5))
+        assert abs(got - 0.19345489675157046) <= 0.5 * got
 
     def test_float_tolerance_accepted(self):
         assert oracle_sum(Params(0.3, 0.2), lambda y: 1.0, 1e-10) == pytest.approx(1.0, abs=1e-9)

@@ -1,7 +1,8 @@
 """Profile-curve fits: pinned misreports of the former multi-start search,
 a brute-force grid guard against a missed optimum, the criterion-10
 samples held against the values the 81-start Nelder-Mead search reached,
-and the moment fit's rivals held against the exact moment cubic."""
+the moment fit's rivals held against the exact moment cubic, and its
+digits on exact moments near q = 1."""
 
 import dataclasses
 import json
@@ -122,6 +123,15 @@ def test_moments_at_most_nelder_mead_on_criterion_10_samples():
         assert fit_moments(ds).objective <= before + 3e-20 * (1.0 + ds.m2) ** 2, truth
 
 
+def test_mle_of_a_huge_value_warns_nothing():
+    # the profile slope is about mean/q, past 1e154 at small q, and the
+    # sign tests once multiplied neighbouring values, which overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_mle(ingest([0, 1, 10**152]))
+    assert report.boundary == ("q",)
+
+
 def test_mle_score_underflow_warns_nothing():
     # q**2000 underflows for q below about 0.7, so the score at alpha = 1
     # reads -inf over much of the scanned q range
@@ -161,9 +171,8 @@ def moment_cubic_pairs(m1: float, m2: float) -> list[tuple[float, float]]:
     return pairs
 
 
-# truths the fit reports without the rival the cubic admits: the two roots
-# lie within one scan panel (ROADMAP item 2); the last two came from a
-# random draw of truths
+# truths whose two preimages lie within one panel of a 1001-node scan over
+# q, which missed the rival; the last two came from a random draw of truths
 MISSED_RIVALS = [
     (0.06636255461336732, 0.8965363437814062),
     (0.7209707082137772, 0.6733973585572905),
@@ -189,8 +198,56 @@ def test_moment_fit_reports_every_exact_preimage():
     assert {t: c for t, c in counts.items() if c[0] != c[1]} == {}
 
 
-@pytest.mark.xfail(strict=True, reason="both roots inside one scan panel (ROADMAP item 2)")
 @pytest.mark.parametrize("truth", MISSED_RIVALS)
 def test_moment_fit_misses_a_rival_inside_one_panel(truth):
     reported, admitted = _moment_fit_candidates(*truth)
     assert reported == admitted
+
+
+# --------------------------------------------------------------------------
+# exact moments near q = 1, and data far past the box
+
+
+def exact_moment_fit(truth: Params):
+    """The moment fit of a dataset holding the exact moments of ``truth``,
+    and its second moment."""
+    m1, m2 = raw_moment(truth, 1), raw_moment(truth, 2)
+    ds = dataclasses.replace(dataset_from_counts({0: 1, 1: 1}), mean=m1, m2=m2)
+    return fit_moments(ds), m2
+
+
+@pytest.mark.parametrize("one_minus_q", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_moment_fit_keeps_its_digits_near_q_one(one_minus_q):
+    truth = Params(1.0 - one_minus_q, 0.3)
+    report, _ = exact_moment_fit(truth)
+    errors = [abs((1.0 - p.q) / (1.0 - truth.q) - 1.0) + abs(p.alpha - truth.alpha)
+              for p in (report.params,) + report.alternatives]
+    assert min(errors) <= 1e-9, report
+
+
+def test_moment_fit_lists_the_rival_near_q_one():
+    # both preimages lie within one panel of a 1001-node scan over q
+    report, _ = exact_moment_fit(Params(0.999, 0.3))
+    assert (round(report.params.q, 12), round(report.params.alpha, 9)) == (0.999, 0.3)
+    assert [(round(p.q, 5), round(p.alpha, 4)) for p in report.alternatives] == [(0.99935, 0.9032)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_one_minus_q=st.floats(-6.0, math.log10(0.95)), alpha=st.floats(-1.0, 1.0))
+def test_moment_fit_matches_exact_moments(log_one_minus_q, alpha):
+    report, m2 = exact_moment_fit(Params(1.0 - 10.0**log_one_minus_q, alpha))
+    assert report.objective <= 1e-20 * (1.0 + m2) ** 2
+
+
+@pytest.mark.parametrize("counts", [{0: 1, 1: 2, 10**70: 1}, {0: 1, 1: 2, 10**76: 1}, {5 * 10**76: 3}],
+                         ids=["1e70", "1e76", "5e76-thrice"])
+def test_moment_fit_of_huge_values_warns_nothing(counts):
+    # the mean lies far past the box, so the fit ends on its corner, as it
+    # did with the scan; the polynomials are scaled so that no power of the
+    # moments overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_moments(dataset_from_counts(counts))
+    assert report.params == Params(1e-6, -1.0)
+    assert report.boundary == ("q", "alpha")
+    assert len(report.alternatives) == 1
