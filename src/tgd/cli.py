@@ -9,10 +9,14 @@ seed (flag --seed or environment variable TGD_SEED).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
+
+import numpy as np
 
 from .core import (
     HazardBehavior,
@@ -57,6 +61,16 @@ _NUM = "{:.9g}"
 # 2-core Xeon host, beside a quarter second of interpreter start.
 _AUDIT_TERMS = 500_000
 
+# fit input: ASCII decimal tokens between blanks, one per line, or two per
+# comma-separated histogram row
+_BLANKS = b" \t\r"
+_BLANK_LINES = re.compile(rb"(?:[ \t]*\r?\n)*")
+_LF, _MINUS, _COMMA = b"\n-,"
+_MAX_DIGITS = 4300  # the longest decimal string int() reads by default
+_INT64_DIGITS = 18  # a token this short is built in int64 by Horner steps
+_BLOCK = 1 << 16  # bytes per parser pass, cut at the next line end
+_QUOTE = 40  # a refusal quotes at most this many characters of its line
+
 
 class _UsageError(Exception):
     pass
@@ -75,6 +89,7 @@ def _fmt(x: float) -> str:
     return _NUM.format(x)
 
 
+@functools.cache  # built on the first main() call; parse_args leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tgd", description="Transmuted geometric distribution tool")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -194,41 +209,179 @@ def _cmd_sample(args) -> str:
     params = _params(args)
     seed = _resolve_seed(args)
     batch = sample_many(params, args.n, seed, SampleMethod(args.method))
-    return "".join(f"{v}\n" for v in batch.values)
+    lines = {v: f"{v}\n" for v in set(batch.values)}  # each distinct value formatted once
+    return "".join(map(lines.__getitem__, batch.values))
 
 
 def _read_dataset(path: str) -> Dataset:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the last line's LF is optional
+    start = _BLANK_LINES.match(data).end()  # the first line that is not blank
+    if start == len(data):
         raise _InputError(f"{path} holds no observations")
-    header = lines[0].lower().replace(" ", "")
-    if header.startswith("value,count"):
-        counts: dict[int, int] = {}
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise _InputError(f"malformed histogram row {ln!r}")
-            try:
-                v, c = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise _InputError(f"malformed histogram row {ln!r}") from None
-            if c < 0:
-                raise _InputError(f"negative count in row {ln!r}")
-            if c:  # a zero count adds no observation, whatever its value
-                counts[v] = counts.get(v, 0) + c
-        return dataset_from_counts(counts)
-    parsed: dict[str, int] = {}
-    for ln in dict.fromkeys(lines):  # each distinct line is parsed once
-        try:
-            parsed[ln] = int(ln)
-        except ValueError:
-            raise _InputError(f"non-integer observation {ln!r}") from None
-    return ingest([parsed[ln] for ln in lines])
+    end = data.find(b"\n", start) + 1
+    if not _is_header(data[start:end]):
+        return ingest(_tokens(data, start, 1))
+    rows = _tokens(data, end, 2).reshape(-1, 2)
+    counts: dict[int, int] = {}
+    for v, c in rows.tolist():
+        if c:  # a zero count adds no observation, whatever its value
+            counts[v] = counts.get(v, 0) + c
+    return dataset_from_counts(counts)
+
+
+def _is_header(line: bytes) -> bool:
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return text.strip().lower().replace(" ", "").startswith("value,count")
+
+
+def _tokens(data: bytes, start: int, fields: int) -> np.ndarray:
+    """The tokens of ``data[start:]`` in file order, ``fields`` to a line.
+
+    Values are int64; the array is of Python ints when one leaves int64.
+    The file is parsed in blocks that end at a line end, so that the
+    parser's byte-length temporaries stay small.
+    """
+    parts = []
+    while start < len(data):
+        stop = data.find(b"\n", min(start + _BLOCK, len(data) - 1)) + 1
+        parts.append(_parse_block(data, start, stop, fields))
+        start = stop
+    if not parts:
+        return np.empty(0, np.int64)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _ahead(mask: np.ndarray) -> np.ndarray:
+    """Each byte's flag replaced by the next byte's (False past the end)."""
+    out = np.zeros_like(mask)
+    out[:-1] = mask[1:]
+    return out
+
+
+def _behind(mask: np.ndarray) -> np.ndarray:
+    """Each byte's flag replaced by the previous byte's (False before the start)."""
+    out = np.zeros_like(mask)
+    out[1:] = mask[:-1]
+    return out
+
+
+def _parse_block(data: bytes, lo: int, hi: int, fields: int) -> np.ndarray:
+    """Tokens of ``data[lo:hi]``, which starts a line and ends with an LF.
+
+    Every byte is classified at once.  Blanks are checked to split no token
+    and are then dropped, so that each line left is empty or holds its
+    ``fields`` tokens with one comma between two, and each token is the
+    text before a separator.  Values are built by Horner steps, one digit
+    column a pass over the tokens that reach it.
+    """
+    raw = np.frombuffer(data, np.uint8, hi - lo, lo)
+    digit, separator = _digits(raw), raw == _LF
+    text, keep, signs, breaks = raw, None, False, []
+
+    def origin(i) -> int:  # the offset in the block of byte i of text
+        return int(i) if keep is None else int(np.flatnonzero(keep)[i])
+
+    if fields > 1 or not (digit | separator).all():  # else there is nothing to check
+        minus, cr = raw == _MINUS, raw == 13
+        blank = (raw == 32) | (raw == 9) | cr
+        allowed = digit | separator | minus | blank
+        if fields > 1:
+            allowed |= raw == _COMMA
+        # a '-' leads a token and a CR ends a line
+        bad = ~allowed | (minus & ~_ahead(digit)) | (cr & ~_ahead(separator))
+        if bad.any():
+            breaks.append(int(bad.argmax()))
+        if blank.any():
+            keep = ~blank
+            gap = _behind(blank)[keep]
+            text = raw[keep]
+            digit, separator, minus = _digits(text), text == _LF, text == _MINUS
+        signs = minus.any()
+        token = digit | minus
+        wrong = minus & _behind(digit)  # two tokens meet, as in '5-3' or '5 -3'
+        if keep is not None:
+            wrong |= gap & token & _behind(token)  # as in '1 2'
+        if fields > 1:
+            comma = text == _COMMA
+            wrong |= comma & ~(_behind(digit) & _ahead(token))
+            separator |= comma
+        if wrong.any():
+            breaks.append(origin(wrong.argmax()))
+    ends = np.flatnonzero(separator)
+    span = np.empty_like(ends)  # the bytes before each separator, back to the last one
+    span[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1] + 1, out=span[1:])
+    if fields > 1:  # a row's two fields end at its comma and at its LF
+        closes = comma[ends]
+        split = (span > 0) & (closes == _behind(closes))
+        if split.any():
+            i = split.argmax()
+            breaks.append(origin(ends[i] - span[i]))
+    if breaks:
+        pos = lo + min(breaks)
+        line = data.rfind(b"\n", 0, pos) + 1
+        if line > lo:  # an earlier line may still hold a bad value
+            _parse_block(data, lo, line, fields)
+        raise _refusal(data, pos, "non-integer observation" if fields == 1 else "malformed histogram row")
+
+    full = span > 0
+    if not full.all():  # blank lines
+        ends, span = ends[full], span[full]
+    ends -= 1  # the last digit of each token
+    width = span
+    if signs:
+        width = span - (text.take(ends - span + 1) == _MINUS)
+    values = np.subtract(text.take(ends), 48, dtype=np.int64)
+    for k in range(1, min(int(width.max(initial=0)), _INT64_DIGITS)):
+        more = np.flatnonzero(width > k)
+        values[more] += np.subtract(text.take(ends[more] - k), 48, dtype=np.int64) * 10**k
+    if signs:
+        np.negative(values, out=values, where=width < span)
+
+    def start(i) -> int:
+        return int(ends[i] - span[i] + 1)
+
+    faults = [(origin(start(i)), f"more than {_MAX_DIGITS} digits in")
+              for i in np.flatnonzero(width > _MAX_DIGITS)[:1]]
+    if not faults:
+        wide = np.flatnonzero(width > _INT64_DIGITS).tolist()
+        exact = [int(text[start(i):ends[i] + 1].tobytes()) for i in wide]
+        if not all(-2**63 <= v < 2**63 for v in exact):
+            values = values.astype(object)
+        values[wide] = exact
+    if fields > 1:
+        negative = np.flatnonzero(np.asarray(values[1::2] < 0, bool))
+        faults += [(origin(start(2 * i + 1)), "negative count in row") for i in negative[:1]]
+    if faults:
+        pos, why = min(faults)
+        raise _refusal(data, lo + pos, why)
+    return values
+
+
+def _digits(buf: np.ndarray) -> np.ndarray:
+    return (buf - np.uint8(48)) < 10
+
+
+def _refusal(data: bytes, pos: int, why: str) -> _InputError:
+    """The one-line refusal of the line holding byte ``pos``."""
+    start = data.rfind(b"\n", 0, pos) + 1
+    line = data[start:data.find(b"\n", pos)].strip(_BLANKS)
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        text, why = line.decode("utf-8", "replace"), "not UTF-8:"
+    quote = repr(text[:_QUOTE]) + ("..." if len(text) > _QUOTE else "")
+    number = data.count(b"\n", 0, start) + 1
+    return _InputError(f"line {number}: {why} {quote}")
 
 
 def _cmd_fit(args) -> str:

@@ -111,7 +111,19 @@ class Dataset:
 
 
 def ingest(values: Iterable[int]) -> Dataset:
-    """Build a dataset from raw observations, validating each distinct one."""
+    """Build a dataset from raw observations, validating each distinct one.
+
+    A one-dimensional integer ndarray is tallied in one ``np.unique`` pass.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        if not values.size:
+            raise EstimationError("cannot ingest an empty sample")
+        negative = np.flatnonzero(values < 0)
+        if negative.size:
+            i = int(negative[0])
+            raise EstimationError(f"negative value {values[i].item()!r} at index {i}")
+        distinct, counts = np.unique(values, return_counts=True)
+        return dataset_from_counts(dict(zip(distinct.tolist(), counts.tolist())))
     seq = list(values)
     if not seq:
         raise EstimationError("cannot ingest an empty sample")

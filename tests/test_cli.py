@@ -1,17 +1,23 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tgd
-from tgd import fit_quantiles
-from tgd.cli import _AUDIT_TERMS, main
+import tgd.cli
+from tgd import EstimationError, dataset_from_counts, fit_quantiles, ingest
+from tgd.cli import _AUDIT_TERMS, _InputError, _is_header, _read_dataset, main
 
 
 def run_cli(argv, capsys):
@@ -394,3 +400,193 @@ class TestHarness:
             _, first, _ = run_cli(argv, capsys)
             _, second, _ = run_cli(argv, capsys)
             assert first == second, argv
+
+
+def read_by_lines(data: bytes):
+    """The fit input grammar read literally, one line at a time, with int().
+
+    Returns the dataset, or the refusal: ("input", line number or None) or
+    ("estimation", None).
+    """
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the last line's LF is optional
+
+    def token(field: bytes):
+        text = field.strip(b" \t")
+        digits = text[1:] if text.startswith(b"-") else text
+        if digits and len(digits) <= 4300 and all(48 <= b <= 57 for b in digits):
+            return int(text)
+        return None
+
+    histogram, rows = None, []
+    for number, line in enumerate(lines, 1):
+        if line.endswith(b"\r"):
+            line = line[:-1]  # a CR may end a line, and nowhere else
+        if b"\r" not in line and not line.strip(b" \t"):
+            continue
+        if histogram is None:  # the first line that is not blank
+            histogram = _is_header(line)
+            if histogram:
+                continue
+        fields = [None] if b"\r" in line else [token(f) for f in line.split(b",")]
+        if None in fields or len(fields) != (2 if histogram else 1):
+            return ("input", number)
+        if histogram and fields[1] < 0:
+            return ("input", number)
+        rows.append(fields)
+    if histogram is None:
+        return ("input", None)
+    try:
+        if histogram:
+            counts = {}
+            for v, c in rows:
+                if c:
+                    counts[v] = counts.get(v, 0) + c
+            return dataset_from_counts(counts)
+        return ingest([v for v, in rows])
+    except EstimationError:
+        return ("estimation", None)
+
+
+class TestFitGrammar:
+    """One token per line, or a value,count row: ASCII digits between blanks."""
+
+    def fit(self, capsys, tmp_path, data: bytes, method="moments"):
+        path = tmp_path / "data.txt"
+        path.write_bytes(data)
+        return run_cli(["fit", "--input", str(path), "--method", method], capsys)
+
+    def test_invalid_utf8_is_one_input_error_naming_its_line(self, capsys, tmp_path):
+        code, out, err = self.fit(capsys, tmp_path, b"0\n1\n\n2\xff\xfe\n3\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: input: line 4: not UTF-8") and err.count("\n") == 1
+
+    def test_an_overlong_line_is_quoted_in_40_characters(self, capsys, tmp_path):
+        code, _, err = self.fit(capsys, tmp_path, b"0\n" + b"7" * 5000 + b"\n")
+        assert code == 2 and err.startswith("error: input: line 2:") and err.count("\n") == 1
+        assert "7" * 40 in err and "7" * 41 not in err
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xef\xbb\xbf1\n2\n", 1),
+        (b"1\n+5\n", 2),
+        (b"1\n1_000\n", 2),
+        ("1\n\u0663\n".encode(), 2),
+        ("value,count\n1,2\n\u0663,1_0\n".encode(), 3),
+        (b"1\n2 3\n", 2),
+        (b"1\n- 3\n", 2),
+        (b"1\n-\n", 2),
+        (b"1\n--3\n", 2),
+        (b"1\n5-3\n", 2),
+        (b"1\r2\n", 1),
+        (b"\x0c\n1\n", 1),
+        (b"value,count\n1,2,3\n", 2),
+        (b"value,count\n1,2\n,5\n", 3),
+        (b"value,count\n5,\n", 2),
+        (b"value,count\n1,,2\n", 2),
+        (b"value,count\n1,-2\n", 2),
+    ], ids=["bom", "plus", "underscore", "arabic-indic", "histogram", "two-tokens",
+            "split-sign", "bare-sign", "double-sign", "inner-sign", "lone-cr", "form-feed",
+            "three-fields", "no-value", "no-count", "empty-field", "negative-count"])
+    def test_refused_lines(self, capsys, tmp_path, data, line):
+        code, out, err = self.fit(capsys, tmp_path, data)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: input: line {line}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", [
+        b"0\r\n1\r\n2\r\n0\r\n5\r\n",
+        b" 0\n\t1 \n2\t\r\n 0 \n5",
+        b"\n\n0\n1\n \n\n2\n\r\n0\n5\n\n",
+        b"0\n1\n2\n0\n5",
+    ], ids=["crlf", "blanks", "blank-lines", "no-final-newline"])
+    def test_accepted_layouts_read_as_the_plain_file(self, capsys, tmp_path, data):
+        plain = self.fit(capsys, tmp_path, b"0\n1\n2\n0\n5\n", "mle")
+        assert plain[0] == 0
+        assert self.fit(capsys, tmp_path, data, "mle") == plain
+
+    def test_a_file_of_many_blocks_reads_whole_and_names_late_lines(self, tmp_path):
+        path = tmp_path / "data.txt"
+        lines = [str(v % 977).encode() for v in range(60_000)]
+        path.write_bytes(b"\n".join(lines))
+        assert _read_dataset(str(path)) == read_by_lines(path.read_bytes())
+        lines[45_000] = b"4 5"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(_InputError, match="^line 45001: non-integer observation '4 5'$"):
+            _read_dataset(str(path))
+
+    def test_long_values_are_read_exactly(self, tmp_path):
+        values = [10**17 + 3, 10**18 - 1, 10**18 + 7, 2**63 - 1, 2**63, 0, 2]
+        path = tmp_path / "data.txt"
+        path.write_text("".join(f"{v}\n" for v in values) + "-0\n" + "0" * 30 + "5\n")
+        counts = _read_dataset(str(path)).counts
+        assert counts == {v: 1 for v in values} | {0: 2, 5: 1}
+        assert all(type(v) is int for v in counts)
+        path.write_text(f"1\n{2**63 - 1}\n-{2**63}\n")
+        with pytest.raises(EstimationError, match=f"negative value -{2**63} at index 2"):
+            _read_dataset(str(path))
+
+
+FLAWS = [b"+5", b"1_0", "\u0663".encode(), b"\xef\xbb\xbf3", b"\xff", b"-", b"--3", b"5-3", b"",
+         b"7" * 4301, b"1 2", b"4\r5", b"-0,-1", b"1,2,3", b",", b"3,", b"\x0c", b"-7"]
+
+
+@st.composite
+def near_valid_files(draw):
+    """A line file or a histogram, laid out in any accepted way; three in
+    four carry a flaw in place of one field or one whole line."""
+    blank = st.sampled_from([b"", b"", b" ", b"\t", b" \t "])
+    histogram = draw(st.booleans())
+    rows = [[str(draw(st.integers(-1, 2**70))).encode()] for _ in range(draw(st.integers(1, 8)))]
+    if histogram:
+        rows = [row + [str(draw(st.integers(0, 10**20))).encode()] for row in rows]
+    flaw = draw(st.sampled_from([None] * 6 + FLAWS))
+    if flaw is not None:
+        row = draw(st.integers(0, len(rows) - 1))
+        if draw(st.booleans()):
+            rows[row] = [flaw]
+        else:
+            rows[row][draw(st.integers(0, len(rows[row]) - 1))] = flaw
+    lines = [b",".join(draw(blank) + field + draw(blank) for field in row) for row in rows]
+    lines = [line for line in lines for line in ([line, draw(blank)] if draw(st.integers(0, 4)) == 0 else [line])]
+    if histogram:
+        lines.insert(0, draw(st.sampled_from([b"value,count", b"Value, Count", b" value,count,x"])))
+    ends = [draw(st.sampled_from([b"\n", b"\n", b"\r\n"])) for _ in lines]
+    text = b"".join(line + end for line, end in zip(lines, ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def grammar_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("grammar") / "data.txt"
+
+
+def check_against_reference(path, data: bytes):
+    path.write_bytes(data)
+    want = read_by_lines(data)
+    for block in (tgd.cli._BLOCK, 5):  # a tiny block cuts the file at every line
+        with mock.patch.object(tgd.cli, "_BLOCK", block):
+            try:
+                got = _read_dataset(str(path))
+            except _InputError as exc:
+                assert isinstance(want, tuple) and want[0] == "input", (want, exc)
+                assert str(exc).startswith(f"line {want[1]}:" if want[1] else str(path))
+            except EstimationError:
+                assert want == ("estimation", None)
+            else:
+                assert got == want
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["fit", "--input", str(path), "--method", "moments"])
+    assert code in (0, 2) and err.getvalue().count("\n") == (code == 2)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=1))
+@given(data=st.binary(max_size=64))
+def test_arbitrary_bytes_read_as_the_line_loop_reads_them(grammar_file, data):
+    check_against_reference(grammar_file, data)
+
+
+@settings(max_examples=140, deadline=timedelta(seconds=1))
+@given(data=near_valid_files())
+def test_near_valid_files_read_as_the_line_loop_reads_them(grammar_file, data):
+    check_against_reference(grammar_file, data)
