@@ -3,129 +3,20 @@
 Exact evaluation of the distribution and its reliability functions, a
 verified moment pipeline, two independent seedable samplers, four
 estimation procedures, and brute-force oracles for auditing all of it.
+
+The public surface is the ``__all__`` list of each module (``core``,
+``estimate``, ``moments``, ``oracle``, ``sampling``); the package re-exports
+every name in them, and a new public name is listed there alone.
 """
 
-from .core import (
-    HazardBehavior,
-    HazardClass,
-    ParameterError,
-    Params,
-    cdf,
-    from_continuous_rate,
-    hazard,
-    hazard_class,
-    is_unimodal,
-    median,
-    mode,
-    pgf,
-    pmf,
-    quantile,
-    reversed_hazard,
-    survival,
-    transmuted_exponential_cdf,
-)
-from .estimate import (
-    AmbiguousFitError,
-    Dataset,
-    EstimationError,
-    FitReport,
-    Method,
-    dataset_from_counts,
-    fit,
-    fit_mle,
-    fit_moments,
-    fit_proportions,
-    fit_quantiles,
-    ingest,
-    log_likelihood,
-    moment_objective,
-)
-from .moments import (
-    MomentSet,
-    central_moment,
-    factorial_cumulant,
-    factorial_moment,
-    index_of_dispersion,
-    kurtosis_beta2,
-    raw_moment,
-    skewness_beta1,
-    stirling2,
-    summarize,
-)
-from .oracle import (
-    Tolerance,
-    oracle_cdf,
-    oracle_mode,
-    oracle_quantile,
-    oracle_sum,
-    pmf_by_terms,
-    tail_bound,
-)
-from .sampling import (
-    RandomStream,
-    SampleBatch,
-    SampleMethod,
-    sample_bridge,
-    sample_inverse,
-    sample_many,
-)
+from . import core, estimate, moments, oracle, sampling
+from .core import *  # noqa: F403
+from .estimate import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousFitError",
-    "Dataset",
-    "EstimationError",
-    "FitReport",
-    "HazardBehavior",
-    "HazardClass",
-    "Method",
-    "MomentSet",
-    "ParameterError",
-    "Params",
-    "RandomStream",
-    "SampleBatch",
-    "SampleMethod",
-    "Tolerance",
-    "cdf",
-    "central_moment",
-    "dataset_from_counts",
-    "factorial_cumulant",
-    "factorial_moment",
-    "fit",
-    "fit_mle",
-    "fit_moments",
-    "fit_proportions",
-    "fit_quantiles",
-    "from_continuous_rate",
-    "hazard",
-    "hazard_class",
-    "index_of_dispersion",
-    "ingest",
-    "is_unimodal",
-    "kurtosis_beta2",
-    "log_likelihood",
-    "median",
-    "mode",
-    "moment_objective",
-    "oracle_cdf",
-    "oracle_mode",
-    "oracle_quantile",
-    "oracle_sum",
-    "pgf",
-    "pmf",
-    "pmf_by_terms",
-    "quantile",
-    "raw_moment",
-    "reversed_hazard",
-    "sample_bridge",
-    "sample_inverse",
-    "sample_many",
-    "skewness_beta1",
-    "stirling2",
-    "summarize",
-    "survival",
-    "tail_bound",
-    "transmuted_exponential_cdf",
-    "__version__",
-]
+__all__ = [*core.__all__, *estimate.__all__, *moments.__all__, *oracle.__all__,
+           *sampling.__all__, "__version__"]

@@ -113,11 +113,11 @@ def _build_parser() -> _Parser:
     add_params(p_sample)
     p_sample.add_argument("--n", type=int, required=True, help="number of variates")
     p_sample.add_argument("--seed", type=int, default=None, help="stream seed (default: TGD_SEED)")
-    p_sample.add_argument("--method", choices=("inverse", "bridge"), default="inverse")
+    p_sample.add_argument("--method", choices=[m.value for m in SampleMethod], default="inverse")
 
     p_fit = sub.add_parser("fit", help="estimate (q, alpha) from a file of observations")
     p_fit.add_argument("--input", required=True, help="integers one per line, or value,count CSV with header")
-    p_fit.add_argument("--method", choices=("proportions", "quantiles", "moments", "mle"), required=True)
+    p_fit.add_argument("--method", choices=[m.value for m in Method], required=True)
     p_fit.add_argument("--t1", type=int, default=None, help="first cdf anchor (quantiles method)")
     p_fit.add_argument("--p1", type=float, default=None, help="cdf value at t1 (default: empirical)")
     p_fit.add_argument("--t2", type=int, default=None, help="second cdf anchor")

@@ -177,13 +177,21 @@ def cdf(params: Params, y: int) -> float:
 
 
 def _pmf_at(q, a, y):
-    # (1-q)*q**y*((1-alpha) + alpha*q**y*(1+q)), the bracket written as
-    # (1-alpha)*(1 - q**y) + q**y*(1 + alpha*q)
+    # (1-q)*q**y*((1-alpha) + alpha*q**y*(1+q))
     qy = q**y
+    return (1.0 - q) * qy * _pmf_bracket(q, a, y, qy)
+
+
+def _pmf_bracket(q, a, y, qy):
+    # (1-alpha) + alpha*q**y*(1+q) at qy = q**y: the pmf over (1-q)*q**y, and
+    # the hazard over (1-q)/((1-alpha) + alpha*q**y).  Where q**y >= 1/2 it
+    # is (1-alpha)*(1 - q**y) + q**y*(1 + alpha*q), and where also q >= 1/2,
+    # so that 1 - q is exact, 1 + alpha*q is (1+alpha) - alpha*(1-q): neither
+    # cancels as alpha -> -1 and q -> 1
     if qy < 0.5:
-        return (1.0 - q) * qy * ((1.0 - a) + a * qy * (1.0 + q))
+        return (1.0 - a) + a * qy * (1.0 + q)
     u = 1.0 - qy if qy < 0.9375 else -math.expm1(y * math.log(q))
-    return (1.0 - q) * qy * ((1.0 - a) * u + qy * (1.0 + a * q))
+    return (1.0 - a) * u + qy * ((1.0 + a) - a * (1.0 - q) if q >= 0.5 else 1.0 + a * q)
 
 
 def _cdf_at(q, a, y, xp=math):
@@ -220,20 +228,20 @@ def survival(params: Params, y: int) -> float:
 def hazard(params: Params, y: int) -> float:
     """Hazard rate P(Y = y) / P(Y >= y), a value in (0, 1).
 
-    Computed from the reduced ratio 1 - q*B(y+1)/B(y) with
-    B(y) = (1-alpha) + alpha*q**y, which avoids forming the two nearly
-    cancelling tail probabilities separately.  At alpha = 1 the ratio
-    B(y+1)/B(y) is exactly q, so the hazard is the constant 1 - q**2 even
-    where q**y underflows.
+    Computed as (1-q)*B/((1-alpha) + alpha*q**y), with B the pmf's bracket,
+    once the common factor q**y is cancelled: nothing nearly equal is
+    subtracted, so the hazard keeps its digits where it is small, as q -> 1
+    with alpha near -1.  At alpha = 0 and 1 the hazard is the constant
+    1 - q and 1 - q**2, even where q**y underflows.
     """
     y = _require_support_point(y)
     q, a = params.q, params.alpha
     if a == 1.0:
         return 1.0 - q * q
+    if a == 0.0:
+        return 1.0 - q
     qy = q**y
-    num = (1.0 - a) + a * q * qy
-    den = (1.0 - a) + a * qy
-    return _clamp_unit(1.0 - q * num / den, "hazard")
+    return _clamp_unit((1.0 - q) * _pmf_bracket(q, a, y, qy) / ((1.0 - a) + a * qy), "hazard")
 
 
 def reversed_hazard(params: Params, y: int) -> float:

@@ -83,10 +83,11 @@ def factorial_moment(params: Params, r: int) -> float:
 
 def _factorial_moment_at(q, a: float, r: int):
     # the mixture closed form of the module docstring, unvalidated; q may be
-    # a float or a numpy array
+    # a float or a numpy array.  1 - q*q is formed as (1-q)*(1+q), which
+    # keeps its digits as q -> 1
     fact = float(math.factorial(r))
     ratio1 = q / (1.0 - q)
-    ratio2 = (q * q) / (1.0 - q * q)
+    ratio2 = (q * q) / ((1.0 - q) * (1.0 + q))
     return (1.0 - a) * fact * ratio1**r + a * fact * ratio2**r
 
 

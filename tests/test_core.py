@@ -178,7 +178,7 @@ class TestHazard:
         assert hazard(Params(q, 1.0), y) == hazard(Params(q * q, 0.0), y)
 
     def test_min_case_is_geometric_of_q_squared(self):
-        for q in (0.05, 0.3, 0.5, 0.7, 0.95):
+        for q in (0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 0.999):
             min_law, twin = Params(q, 1.0), Params(q * q, 0.0)
             assert all(hazard(min_law, y) == hazard(twin, y) for y in range(2001))
 

@@ -1,5 +1,6 @@
 """Hypothesis property tests over the whole parameter box."""
 
+import warnings
 from datetime import timedelta
 
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,10 @@ from tgd import (
     RandomStream,
     cdf,
     from_continuous_rate,
+    hazard,
     pmf,
     quantile,
+    reversed_hazard,
     sample_inverse,
     sample_many,
     survival,
@@ -79,6 +82,26 @@ def test_inverse_batch_matches_per_draw(q, a, seed):
     stream = RandomStream(seed)
     expected = [sample_inverse(params, stream.uniform()) for _ in range(200)]
     assert list(sample_many(params, 200, seed).values) == expected
+
+
+# the whole admitted domain: q down to 1e-300, 1 - q down to 1e-15, and y
+# up to 2**63 - 1, where q**y underflows
+domain_qs = st.one_of(
+    st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+    st.floats(min_value=-300.0, max_value=-0.01).map(lambda e: 10.0**e),
+    st.floats(min_value=-15.0, max_value=-0.01).map(lambda e: 1.0 - 10.0**e),
+)
+domain_ys = st.one_of(st.integers(0, 2**63 - 1), st.integers(0, 2000))
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=1))
+@given(domain_qs, alphas, domain_ys)
+def test_point_functions_are_probabilities_over_the_domain(q, a, y):
+    params = Params(q, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (pmf, cdf, survival, hazard, reversed_hazard):
+            assert 0.0 <= f(params, y) <= 1.0
 
 
 @given(qs, alphas, ys)
